@@ -34,7 +34,6 @@ from .errors import (
     BadModeError,
     DivergedError,
     DriftwatchError,
-    EmptyMarginSetError,
     EmptyStreamError,
     ImmobileError,
     IoError,
@@ -50,11 +49,6 @@ from .incremental import (
     MigrationEvent,
     add_sample,
     build_system,
-    compute_beta,
-    compute_gamma,
-    min_delta_alpha,
-    q_inverse_expand,
-    q_inverse_shrink,
 )
 from .ocsvm import (
     KernelSpec,

@@ -29,7 +29,6 @@ COINCIDENT_TOL = 1e-12
 class UpdatePolicy(Enum):
     TENSOR_ADVISED = "tensor_advised"
     THRESHOLD = "threshold"
-    SELF_ADVISED_STUB = "self_advised_stub"
     NONE = "none"
 
 
@@ -192,12 +191,14 @@ def process_event(state: PipelineState, slice_ij):
     """Feed one frontal slice through the pipeline; returns (state, verdict).
 
     Anomalous events leave both the one-class model and the location
-    snapshot untouched so they cannot poison the drift baseline.
+    snapshot untouched so they cannot poison the drift baseline. A slice
+    that ``update_online`` rejects raises before any state changes, and it
+    does not count as an event.
     """
     cfg = state.config
     t_idx = state.events_seen
-    state.events_seen += 1
     _, c_new = update_online(state.decomp, slice_ij)
+    state.events_seen += 1
     curr = LocationSnapshot.capture(state.decomp.factors.b, cfg.k_neighbors)
     g_raw = decision_value(state.model, c_new)
 
@@ -210,8 +211,7 @@ def process_event(state: PipelineState, slice_ij):
     if policy is UpdatePolicy.NONE:
         return state, Verdict(t_idx, g_raw, p_env, g_raw,
                               Action.REPORT_ANOMALY)
-    if policy in (UpdatePolicy.THRESHOLD, UpdatePolicy.SELF_ADVISED_STUB):
-        # SELF_ADVISED_STUB is a placeholder that delegates to THRESHOLD.
+    if policy is UpdatePolicy.THRESHOLD:
         action = baseline_threshold_policy(g_raw, cfg.threshold)
         if action is Action.UPDATE_MODEL:
             _incorporate(state, c_new)

@@ -1,6 +1,7 @@
 """Command-line front end: synth, bench, train, stream, eval.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (including a missing, malformed or
+unwritable file), 3 numerical failure.
 All data files are written deterministically for fixed seeds; wall-clock
 timings go to stderr only.
 """
@@ -10,8 +11,7 @@ import csv
 import json
 import sys
 import time
-
-import numpy as np
+from contextlib import contextmanager
 
 from . import advisor, synth
 from .advisor import Action, AdvisorConfig, PipelineState, UpdatePolicy
@@ -36,10 +36,12 @@ from .ocsvm import KernelSpec, OcsvmModel, median_pairwise_sigma, train_batch
 from .tensor import (
     DenseTensor3,
     KruskalFactors,
+    from_hex,
     load_tensor_csv,
     rmse,
     save_factor_csv,
     save_tensor_csv,
+    to_hex,
 )
 
 
@@ -48,16 +50,22 @@ def make_lr(a: float, b: float):
     return lambda t: a / (1.0 + b * t)
 
 
-def _hex_list(arr):
-    return [float.hex(float(v)) for v in np.asarray(arr).ravel()]
+@contextmanager
+def _reading(path, what):
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
 
 
-def _hex_rows(mat):
-    return [[float.hex(float(v)) for v in row] for row in np.asarray(mat)]
-
-
-def _from_hex_rows(rows):
-    return np.array([[float.fromhex(v) for v in row] for row in rows])
+@contextmanager
+def _writing(path, what):
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def labels_path(tensor_path: str) -> str:
@@ -66,7 +74,7 @@ def labels_path(tensor_path: str) -> str:
 
 
 def write_labels(path, labels):
-    with open(path, "w", newline="") as fh:
+    with _writing(path, "labels") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "label"])
         for k, lab in enumerate(labels):
@@ -74,11 +82,15 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    with open(path, newline="") as fh:
+    with _reading(path, "labels") as fh:
         rows = list(csv.DictReader(fh))
     labels = [None] * len(rows)
-    for row in rows:
-        labels[int(row["k"])] = row["label"]
+    try:
+        for row in rows:
+            labels[int(row["k"])] = row["label"]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"malformed labels file {path}: {exc!r}") \
+            from exc
     return labels
 
 
@@ -92,84 +104,86 @@ def save_bundle(path, window, decomp: StreamDecomposition, model: OcsvmModel,
         "window": window,
         "rank": f.rank,
         "kind": decomp.kind.value,
-        "factors": {"a": _hex_rows(f.a), "b": _hex_rows(f.b),
-                    "c": _hex_rows(f.c)},
+        "factors": {"a": to_hex(f.a), "b": to_hex(f.b), "c": to_hex(f.c)},
         "state": {
-            "vel_a": _hex_rows(st.vel_a), "vel_b": _hex_rows(st.vel_b),
-            "vel_c": _hex_rows(st.vel_c),
-            "friction": float.hex(st.friction),
-            "perturb_sigma": float.hex(st.perturb_sigma),
-            "l1_beta": float.hex(st.l1_beta),
+            "vel_a": to_hex(st.vel_a), "vel_b": to_hex(st.vel_b),
+            "vel_c": to_hex(st.vel_c),
+            "friction": to_hex(st.friction),
+            "perturb_sigma": to_hex(st.perturb_sigma),
+            "l1_beta": to_hex(st.l1_beta),
             "step": st.step, "rng_seed": st.rng_seed,
             "nag_lookahead": st.nag_lookahead,
             "perturb_decay": st.perturb_decay,
             "rng_state": st.rng.bit_generator.state,
-            "lr": {"a": float.hex(lr_params[0]), "b": float.hex(lr_params[1])},
+            "lr": {"a": to_hex(lr_params[0]), "b": to_hex(lr_params[1])},
         },
-        "model": json.loads(model.to_json()),
-        "snapshot": {"b": _hex_rows(snapshot.b_matrix),
-                     "knn": _hex_list(snapshot.knn_scores)},
+        "model": model.to_dict(),
+        "snapshot": {"b": to_hex(snapshot.b_matrix),
+                     "knn": to_hex(snapshot.knn_scores)},
         "config": {
             "k_neighbors": config.k_neighbors,
-            "gamma_change": float.hex(config.gamma_change),
-            "confidence": float.hex(config.confidence),
+            "gamma_change": to_hex(config.gamma_change),
+            "confidence": to_hex(config.confidence),
             "update_policy": config.update_policy.value,
-            "threshold": float.hex(config.threshold),
+            "threshold": to_hex(config.threshold),
         },
         "meta": meta or {},
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write bundle to {path}: {exc}") from exc
+    with _writing(path, "bundle") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def load_bundle(path, window_slices):
-    try:
-        with open(path) as fh:
+    """(window, decomp, model, snapshot, config) from a bundle file.
+
+    An unreadable file is an IoError; anything that is not a well-formed
+    bundle is a ValidationError.
+    """
+    with _reading(path, "bundle") as fh:
+        try:
             payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read bundle from {path}: {exc}") from exc
-    f = KruskalFactors(
-        _from_hex_rows(payload["factors"]["a"]),
-        _from_hex_rows(payload["factors"]["b"]),
-        _from_hex_rows(payload["factors"]["c"]),
-    )
-    sp = payload["state"]
-    lr_a = float.fromhex(sp["lr"]["a"])
-    lr_b = float.fromhex(sp["lr"]["b"])
-    state = NesgdState(
-        vel_a=_from_hex_rows(sp["vel_a"]),
-        vel_b=_from_hex_rows(sp["vel_b"]),
-        vel_c=_from_hex_rows(sp["vel_c"]),
-        friction=float.fromhex(sp["friction"]),
-        lr=make_lr(lr_a, lr_b),
-        perturb_sigma=float.fromhex(sp["perturb_sigma"]),
-        l1_beta=float.fromhex(sp["l1_beta"]),
-        step=sp["step"],
-        rng_seed=sp["rng_seed"],
-        nag_lookahead=sp["nag_lookahead"],
-        perturb_decay=sp["perturb_decay"],
-    )
-    state.rng.bit_generator.state = sp["rng_state"]
-    decomp = StreamDecomposition(f, state, OptimizerKind(payload["kind"]),
-                                 list(window_slices))
-    model = OcsvmModel.from_json(json.dumps(payload["model"]))
-    snapshot = advisor.LocationSnapshot(
-        _from_hex_rows(payload["snapshot"]["b"]),
-        np.array([float.fromhex(v) for v in payload["snapshot"]["knn"]]),
-    )
-    cp = payload["config"]
-    config = AdvisorConfig(
-        k_neighbors=cp["k_neighbors"],
-        gamma_change=float.fromhex(cp["gamma_change"]),
-        confidence=float.fromhex(cp["confidence"]),
-        update_policy=UpdatePolicy(cp["update_policy"]),
-        threshold=float.fromhex(cp["threshold"]),
-    )
-    return payload["window"], decomp, model, snapshot, config
+        except ValueError as exc:
+            raise ValidationError(f"bundle {path} is not JSON: {exc}") \
+                from exc
+    try:
+        f = KruskalFactors(from_hex(payload["factors"]["a"]),
+                           from_hex(payload["factors"]["b"]),
+                           from_hex(payload["factors"]["c"]))
+        sp = payload["state"]
+        state = NesgdState(
+            vel_a=from_hex(sp["vel_a"]),
+            vel_b=from_hex(sp["vel_b"]),
+            vel_c=from_hex(sp["vel_c"]),
+            friction=from_hex(sp["friction"]),
+            lr=make_lr(from_hex(sp["lr"]["a"]), from_hex(sp["lr"]["b"])),
+            perturb_sigma=from_hex(sp["perturb_sigma"]),
+            l1_beta=from_hex(sp["l1_beta"]),
+            step=sp["step"],
+            rng_seed=sp["rng_seed"],
+            nag_lookahead=sp["nag_lookahead"],
+            perturb_decay=sp["perturb_decay"],
+        )
+        state.rng.bit_generator.state = sp["rng_state"]
+        decomp = StreamDecomposition(f, state, OptimizerKind(payload["kind"]),
+                                     list(window_slices))
+        model = OcsvmModel.from_dict(payload["model"])
+        snapshot = advisor.LocationSnapshot(
+            from_hex(payload["snapshot"]["b"]),
+            from_hex(payload["snapshot"]["knn"]),
+        )
+        cp = payload["config"]
+        config = AdvisorConfig(
+            k_neighbors=cp["k_neighbors"],
+            gamma_change=from_hex(cp["gamma_change"]),
+            confidence=from_hex(cp["confidence"]),
+            update_policy=UpdatePolicy(cp["update_policy"]),
+            threshold=from_hex(cp["threshold"]),
+        )
+        window = int(payload["window"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed bundle {path}: {exc!r}") from exc
+    return window, decomp, model, snapshot, config
 
 
 # ----------------------------------------------------------------- metrics
@@ -244,7 +258,7 @@ def cmd_synth(args):
             "mu_shift": anomalies.mu_shift,
             "sigma_scale": anomalies.sigma_scale},
     }
-    with open(args.out.rsplit(".", 1)[0] + ".meta.json", "w") as fh:
+    with _writing(args.out.rsplit(".", 1)[0] + ".meta.json", "meta") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
     return 0
@@ -283,7 +297,7 @@ def cmd_bench(args):
         rmse_every=args.rmse_every, perturb_sigma=args.perturb_sigma,
         l1_beta=args.l1_beta, friction=args.friction,
     )
-    with open(args.out, "w", newline="") as fh:
+    with _writing(args.out, "traces") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "rmse", "optimizer"])
         for kind in kinds:
@@ -335,14 +349,10 @@ def cmd_train(args):
 def cmd_stream(args):
     tensor = load_tensor_csv(args.tensor)
     k_n = tensor.dims[2]
-    window_slices = None
-    with open(args.bundle) as fh:
-        window = json.load(fh)["window"]
-    if tensor.dims[2] <= window:
+    window, decomp, model, snapshot, config = load_bundle(args.bundle, [])
+    if k_n <= window:
         raise EmptyStreamError("no events after the training window")
-    window_slices = [tensor.slice_at(k) for k in range(window)]
-    _, decomp, model, snapshot, config = load_bundle(args.bundle,
-                                                     window_slices)
+    decomp.slices = [tensor.slice_at(k) for k in range(window)]
     if decomp.factors.a.shape[0] != tensor.dims[0] \
             or decomp.factors.b.shape[0] != tensor.dims[1]:
         raise ShapeMismatchError("bundle factors do not match tensor dims")
@@ -359,14 +369,14 @@ def cmd_stream(args):
             "g_advised": verdict.g_advised, "action": verdict.action.value,
         })
     runtime_ms = int(1000 * (time.monotonic() - started))
-    with open(args.verdicts, "w", newline="") as fh:
+    with _writing(args.verdicts, "verdicts") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "g_raw", "p_env", "g_advised", "action"])
         for row in rows:
             w.writerow([row["t"], repr(row["g_raw"]), repr(row["p_env"]),
                         repr(row["g_advised"]), row["action"]])
     if args.migrations:
-        with open(args.migrations, "w") as fh:
+        with _writing(args.migrations, "migrations") as fh:
             for ev in state.migration_log:
                 fh.write(json.dumps(ev, sort_keys=True))
                 fh.write("\n")
@@ -374,10 +384,10 @@ def cmd_stream(args):
     try:
         labels = read_labels(labels_path(args.tensor))
         metrics = compute_metrics(rows, labels, args.far_window)
-    except OSError:
+    except IoError:
         print("no labels file; skipping metrics", file=sys.stderr)
     if metrics is not None and args.metrics:
-        with open(args.metrics, "w") as fh:
+        with _writing(args.metrics, "metrics") as fh:
             json.dump(metrics, fh, sort_keys=True)
             fh.write("\n")
     print(f"streamed {len(rows)} events in {runtime_ms} ms", file=sys.stderr)
@@ -385,10 +395,15 @@ def cmd_stream(args):
 
 
 def cmd_eval(args):
-    with open(args.verdicts, newline="") as fh:
+    with _reading(args.verdicts, "verdicts") as fh:
         rows = list(csv.DictReader(fh))
     labels = read_labels(args.labels)
-    metrics = compute_metrics(rows, labels, args.far_window)
+    try:
+        metrics = compute_metrics(rows, labels, args.far_window)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(
+            f"verdicts {args.verdicts} do not match the labels: {exc!r}") \
+            from exc
     json.dump(metrics, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -63,7 +63,6 @@ class NesgdState:
     # Noise std decays with the learning-rate schedule so the perturbation
     # vanishes asymptotically; set False for a constant-sigma perturbation.
     perturb_decay: bool = True
-    l1_mode: str = "subgradient"
     rng: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -277,13 +276,6 @@ class StreamDecomposition:
     kind: OptimizerKind
     slices: list  # retained window, one (I, J) array per time step
 
-    @property
-    def tensor(self) -> DenseTensor3:
-        return DenseTensor3(np.stack(self.slices, axis=2))
-
-    def snapshot_factors(self) -> KruskalFactors:
-        return self.factors.copy()
-
 
 def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
                           opts: StreamOptions = None) -> StreamDecomposition:
@@ -312,7 +304,8 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
 
     The new temporal row is the ridge least-squares fit of the slice against
     the current (B(*)A) design; A and B then take one stochastic step from
-    the new slice before the row is appended.
+    the new slice before the row is appended. A slice of the wrong shape or
+    with non-finite entries is rejected before any state changes.
     """
     slice_ij = np.asarray(slice_ij, dtype=np.float64)
     f = d.factors
@@ -321,6 +314,8 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
         raise ShapeMismatchError(
             f"slice shape {slice_ij.shape} != ({i_n}, {j_n})"
         )
+    if not np.all(np.isfinite(slice_ij)):
+        raise ValidationError("slice contains non-finite entries")
     design = khatri_rao(f.b, f.a)  # row index i + I*j matches vec order below
     gram = design.T @ design + RIDGE * np.eye(f.rank)
     c_new = np.linalg.solve(gram, design.T @ slice_ij.reshape(-1, order="F"))

@@ -57,9 +57,5 @@ class KktViolationError(NumericalError):
     code = "kkt-violation"
 
 
-class EmptyMarginSetError(NumericalError):
-    code = "empty-margin-set"
-
-
 class ImmobileError(NumericalError):
     code = "immobile"

@@ -2,21 +2,22 @@
 
 Adding a point changes two things at once: the new candidate's coefficient
 must grow from zero until its own optimality condition holds, and the box
-bound C = 1/(nu*n) shrinks because n grew. Both are handled as homotopies
-that keep every retained point KKT-consistent after each migration event:
+bound C = 1/(nu*n) shrinks because n grew. Both are one homotopy walk that
+keeps every retained point KKT-consistent after each migration event. Only
+the quantity that drives the walk changes between its two legs:
 
-* insertion phase: the candidate's coefficient grows at the old bound, with
-  the classic five migration cases deciding which point changes set at each
-  breakpoint;
-* bound phase: C then slides down to the new value; points pinned at the
-  bound ride it downward while the margin set (now possibly containing the
-  candidate) absorbs the released mass. The candidate takes part as an
-  ordinary point here, which rules out the all-at-bound deadlock: if every
-  point sat at the bound then (n+1)*C = 1 would put C below the target.
+* while the candidate's coefficient grows (at the old bound), the classic
+  five migration cases decide which point changes set at each breakpoint;
+* once the candidate is consistent, C slides down to the new value; points
+  pinned at the bound ride it downward while the margin set (now possibly
+  containing the candidate) absorbs the released mass. The candidate takes
+  part as an ordinary point here, which rules out the all-at-bound
+  deadlock: if every point sat at the bound then (n+1)*C = 1 would put C
+  below the target.
 
 Internally the bias is carried as b = -rho so the bordered margin system
 Q = [[0, 1^T], [1, K_SS]] stays symmetric; sensitivities are reported in
-b-space (beta[0] is db/d alpha_c, so d rho = -beta[0] * d alpha_c).
+b-space (beta[0] is db per unit step, so d rho = -beta[0] * step).
 """
 
 import logging
@@ -24,20 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMarginSetError, ImmobileError, KktViolationError
-from .ocsvm import (
-    KKT_TOL,
-    OcsvmModel,
-    kernel_matrix,
-    kkt_partition,
-    recover_rho,
-)
+from .errors import ImmobileError, KktViolationError
+from .ocsvm import KKT_TOL, OcsvmModel, kernel_matrix, partition, recover_rho
 
 log = logging.getLogger(__name__)
 
 ZERO_STEP = 1e-14
 PIVOT_TOL = 1e-12
 MAX_EVENTS_PER_POINT = 60
+
+# set each migration case moves a point to; case 3 comes from E or Rv
+_DESTINATION = {1: "E", 2: "Rv", 3: "S", 4: "S", 5: "E"}
 
 
 @dataclass
@@ -50,12 +48,6 @@ class BorderedSystem:
     @property
     def empty(self):
         return not self.s_order
-
-    def copy(self):
-        return BorderedSystem(
-            None if self.q_inv is None else self.q_inv.copy(),
-            list(self.s_order),
-        )
 
 
 @dataclass
@@ -74,20 +66,15 @@ class MigrationEvent:
         }
 
 
-def _assemble_q(kmat, s_order):
+def build_system(kmat, s_order) -> BorderedSystem:
+    """Direct inverse of the assembled bordered system."""
+    if not s_order:
+        return BorderedSystem(None, [])
     s = len(s_order)
     q = np.zeros((s + 1, s + 1))
     q[0, 1:] = 1.0
     q[1:, 0] = 1.0
     q[1:, 1:] = kmat[np.ix_(s_order, s_order)]
-    return q
-
-
-def build_system(kmat, s_order) -> BorderedSystem:
-    """Direct inverse of the assembled bordered system."""
-    if not s_order:
-        return BorderedSystem(None, [])
-    q = _assemble_q(kmat, s_order)
     try:
         if np.linalg.cond(q) > 1.0 / PIVOT_TOL:
             raise ImmobileError("margin system is numerically singular")
@@ -97,6 +84,7 @@ def build_system(kmat, s_order) -> BorderedSystem:
 
 
 def _expand(sys: BorderedSystem, kmat, new_index) -> BorderedSystem:
+    """Grow the margin set by one index (rank-1 bordered update)."""
     if sys.empty:
         k_cc = kmat[new_index, new_index]
         q_inv = np.array([[-k_cc, 1.0], [1.0, 0.0]])
@@ -118,6 +106,7 @@ def _expand(sys: BorderedSystem, kmat, new_index) -> BorderedSystem:
 
 
 def _shrink(sys: BorderedSystem, kmat, leaving_index) -> BorderedSystem:
+    """Remove one index from the margin set (rank-1 downdate)."""
     pos = sys.s_order.index(leaving_index) + 1  # offset past the bias row
     keep = [i for i in range(sys.q_inv.shape[0]) if i != pos]
     new_order = [i for i in sys.s_order if i != leaving_index]
@@ -133,81 +122,34 @@ def _shrink(sys: BorderedSystem, kmat, leaving_index) -> BorderedSystem:
     return BorderedSystem(q_inv, new_order)
 
 
-def q_inverse_expand(sys: BorderedSystem, m: OcsvmModel,
-                     new_index: int) -> BorderedSystem:
-    """Grow the margin set by one training index (rank-1 bordered update)."""
-    return _expand(sys, m.gram(), new_index)
+def _rates(sys: BorderedSystem, kmat, k_drive, n_drive):
+    """Sensitivities per unit step of the walk.
 
-
-def q_inverse_shrink(sys: BorderedSystem, m: OcsvmModel,
-                     leaving_index: int) -> BorderedSystem:
-    """Remove one training index from the margin set (rank-1 downdate)."""
-    return _shrink(sys, m.gram(), leaving_index)
-
-
-def compute_beta(m: OcsvmModel, sys: BorderedSystem, x_c) -> np.ndarray:
-    """Sensitivities of (bias, alpha_S) to growth of the candidate coefficient.
-
-    beta[0] carries the bias variable b = -rho; beta[1:] the margin alphas.
-    The margin entries always sum to -1 (the equality constraint).
+    The driving coefficients outside S move by a vector d per unit step,
+    given as ``k_drive = K @ d`` and ``n_drive = sum(d)``. Returns
+    (beta, gamma): beta[0] is db and beta[1:] d alpha_S, chosen so every
+    margin decision value stays pinned and the alphas keep summing to one;
+    gamma is dg for every row of ``kmat``.
     """
-    if sys.empty:
-        raise EmptyMarginSetError("margin set is empty")
-    k_sc = kernel_matrix(m.kernel, m.x[sys.s_order], np.atleast_2d(x_c))[:, 0]
-    eta = np.concatenate(([1.0], k_sc))
-    return -(sys.q_inv @ eta)
+    eta = np.concatenate(([n_drive], k_drive[sys.s_order]))
+    beta = -(sys.q_inv @ eta)
+    gamma = k_drive + kmat[:, sys.s_order] @ beta[1:] + beta[0]
+    return beta, gamma
 
 
-def compute_gamma(m: OcsvmModel, sys: BorderedSystem, beta, x_c,
-                  indices=None) -> np.ndarray:
-    """Decision-value sensitivities gamma_i for the listed training indices,
-    with the candidate's own gamma appended last.
+def _select(steps, cases, index):
+    """The next migration: the smallest viable step, ties broken on case id
+    then index. A step below -ZERO_STEP is not viable; the rest clamp at 0.
 
-    ``indices`` defaults to E + Rv from the current KKT partition.
+    Returns (step, case_id, index).
     """
-    if indices is None:
-        _, e_idx, r_idx = kkt_partition(m)
-        indices = e_idx + r_idx
-    x_c = np.atleast_2d(x_c)
-    rows = np.vstack([m.x[indices], x_c]) if len(indices) else x_c
-    k_ic = kernel_matrix(m.kernel, rows, x_c)[:, 0]
-    k_is = kernel_matrix(m.kernel, rows, m.x[sys.s_order])
-    return k_ic + k_is @ beta[1:] + beta[0]
-
-
-def min_delta_alpha(m: OcsvmModel, sys: BorderedSystem, beta, gamma,
-                    alpha_c: float, g_c: float) -> MigrationEvent:
-    """Pick the smallest positive coefficient increment among the five cases.
-
-    ``gamma`` must align with E + Rv (from :func:`kkt_partition`) followed by
-    the candidate's own sensitivity. Ties break on case id then index.
-    """
-    s_idx, e_idx, r_idx = kkt_partition(m)
-    others = e_idx + r_idx
-    g = m.training_decision_values()
-    c_bound = m.c_bound
-    candidates = []
-    for pos, i in enumerate(sys.s_order):
-        b_i = beta[pos + 1]
-        if b_i > 0:
-            candidates.append(((c_bound - m.alpha[i]) / b_i, 1, i, "S", "E"))
-        elif b_i < 0:
-            candidates.append((-m.alpha[i] / b_i, 2, i, "S", "Rv"))
-    for pos, i in enumerate(others):
-        gm = gamma[pos]
-        if (i in e_idx and gm > 0) or (i in r_idx and gm < 0):
-            candidates.append((-g[i] / gm, 3, i,
-                               "E" if i in e_idx else "Rv", "S"))
-    gamma_c = gamma[-1]
-    if gamma_c > 0:
-        candidates.append((-g_c / gamma_c, 4, -1, "candidate", "S"))
-    candidates.append((c_bound - alpha_c, 5, -1, "candidate", "E"))
-    viable = [c for c in candidates if c[0] > -ZERO_STEP]
-    if not viable:
+    viable = steps > -ZERO_STEP
+    if not np.any(viable):
         raise ImmobileError("no positive coefficient increment available")
-    step, case_id, idx, src, dst = min(
-        viable, key=lambda c: (max(c[0], 0.0), c[1], c[2]))
-    return MigrationEvent(case_id, idx, src, dst, max(step, 0.0))
+    steps = np.maximum(steps[viable], 0.0)
+    cases, index = cases[viable], index[viable]
+    k = np.lexsort((index, cases, steps))[0]
+    return float(steps[k]), int(cases[k]), int(index[k])
 
 
 class _Working:
@@ -217,236 +159,146 @@ class _Working:
         self.x = np.vstack([m.x, np.atleast_2d(x_c)])
         self.alpha = np.concatenate([m.alpha, [0.0]])
         self.rho = m.rho
-        self.nu = m.nu
-        self.kernel = m.kernel
+        self.c = m.c_bound  # current box bound
         self.kmat = kernel_matrix(m.kernel, self.x)
         self.cand = self.x.shape[0] - 1
-        s_idx, e_idx, r_idx = kkt_partition(m)
-        self.s_set = list(s_idx)
-        self.e_set = list(e_idx)
-        self.r_set = list(r_idx) + [self.cand]
-        prev = getattr(m, "system", None)
-        if prev is not None and sorted(prev.s_order) == sorted(s_idx):
-            self.sys = prev.copy()
-        else:
-            self.sys = build_system(self.kmat, s_idx)
+        s_idx, e_idx, r_idx = partition(self.g()[: self.cand], m.alpha,
+                                        m.c_bound)
+        self.e_set = e_idx
+        self.r_set = r_idx + [self.cand]
+        self.sys = build_system(self.kmat, s_idx)
+
+    @property
+    def s_set(self):
+        return self.sys.s_order
 
     def g(self, i=None):
-        f = self.kmat @ self.alpha
-        g = f - self.rho
+        g = self.f_vals() - self.rho
         return g if i is None else g[i]
 
     def f_vals(self):
         return self.kmat @ self.alpha
 
-    def beta(self):
-        eta = np.concatenate(
-            ([1.0], self.kmat[self.sys.s_order, self.cand]))
-        return -(self.sys.q_inv @ eta)
+    def move(self, i, dst):
+        """Move index i into set ``dst`` ("S", "E" or "Rv"); a point leaving
+        for a bound set takes that bound's coefficient."""
+        if i in self.sys.s_order:
+            self.sys = _shrink(self.sys, self.kmat, i)
+        else:
+            (self.e_set if i in self.e_set else self.r_set).remove(i)
+        if dst == "S":
+            self.sys = _expand(self.sys, self.kmat, i)
+        else:
+            self.alpha[i] = self.c if dst == "E" else 0.0
+            (self.e_set if dst == "E" else self.r_set).append(i)
 
-    def move_to_s(self, i):
-        for group in (self.e_set, self.r_set):
-            if i in group:
-                group.remove(i)
-        self.sys = _expand(self.sys, self.kmat, i)
-        self.s_set = list(self.sys.s_order)
-
-    def move_from_s(self, i, dst):
-        self.sys = _shrink(self.sys, self.kmat, i)
-        self.s_set = list(self.sys.s_order)
-        (self.e_set if dst == "E" else self.r_set).append(i)
-
-    def recruit_support(self, want_absorber: bool, exclude_cand: bool = True):
+    def recruit_support(self, growing):
         """Seed S by shifting rho until one decision value touches zero.
 
-        ``want_absorber`` recruits from Rv (a point whose alpha can grow);
-        otherwise from E (a point whose alpha can shrink). During its own
-        insertion the candidate is excluded; in the bound phase it is an
-        ordinary point and may be recruited.
+        While the candidate grows the others must give up mass, so the
+        recruit comes from E (a point whose alpha can shrink); while the
+        bound slides the released mass needs an absorber from Rv. Either
+        pool falls back to the other when empty. The growing candidate is
+        never recruited; in the bound leg it is an ordinary point.
         """
         f = self.f_vals()
-        r_pool = [i for i in self.r_set if not (exclude_cand and i == self.cand)]
-        if want_absorber:
-            pool = r_pool
-            if not pool:
-                pool, want_absorber = list(self.e_set), False
-        else:
-            pool = list(self.e_set)
-            if not pool:
-                pool, want_absorber = r_pool, True
+        r_pool = [i for i in self.r_set if not (growing and i == self.cand)]
+        from_e = bool(self.e_set) if growing else not r_pool
+        pool = self.e_set if from_e else r_pool
         if not pool:
             raise ImmobileError("no point available to seed the margin set")
-        if want_absorber:
-            i = min(pool, key=lambda j: (f[j], j))
-        else:
+        if from_e:
             i = max(pool, key=lambda j: (f[j], -j))
-        src = "E" if i in self.e_set else "Rv"
-        self.rho = float(f[i])
-        self.move_to_s(i)
-        return i, src
-
-    def as_model(self) -> OcsvmModel:
-        m = OcsvmModel(self.x, self.alpha, self.rho, self.nu, self.kernel)
-        m.system = self.sys.copy()
-        return m
-
-
-def _apply_bound_phase(w: _Working, c_old, c_new, events, on_event):
-    """Slide the box bound from c_old down to c_new, migrating as needed.
-
-    Runs after the candidate has been inserted, so the candidate is an
-    ordinary point here.
-    """
-    remaining = c_old - c_new
-    c_cur = c_old
-    budget = MAX_EVENTS_PER_POINT * (w.x.shape[0] + 1)
-    stall = 0
-    while remaining > ZERO_STEP:
-        if budget <= 0:
-            raise ImmobileError("bound-update loop exceeded event budget")
-        budget -= 1
-        if not w.s_set:
-            i, src = w.recruit_support(want_absorber=True, exclude_cand=False)
-            events.append(MigrationEvent(3, i, src, "S", 0.0))
-            on_event(w)
-            continue
-        s_order = w.sys.s_order
-        n_e = len(w.e_set)
-        rhs = np.concatenate(
-            ([float(n_e)],
-             w.kmat[np.ix_(s_order, w.e_set)].sum(axis=1) if n_e
-             else np.zeros(len(s_order))))
-        psi = w.sys.q_inv @ rhs  # (db, d alpha_S) per unit bound decrease
-        g = w.g()
-        k_e_sum = (w.kmat[:, w.e_set].sum(axis=1) if n_e
-                   else np.zeros(w.x.shape[0]))
-        gamma_all = w.kmat[:, s_order] @ psi[1:] - k_e_sum + psi[0]
-
-        best = (remaining, 0, -1, "", "")  # step, case, index, from, to
-        for pos, i in enumerate(s_order):
-            p = psi[pos + 1]
-            if p < 0:
-                step = -w.alpha[i] / p
-                if step < best[0]:
-                    best = (step, 2, i, "S", "Rv")
-            if p + 1.0 > 0:
-                step = (c_cur - w.alpha[i]) / (p + 1.0)
-                if step < best[0]:
-                    best = (step, 1, i, "S", "E")
-        for i in w.e_set:
-            if gamma_all[i] > 0:
-                step = -g[i] / gamma_all[i]
-                if step < best[0]:
-                    best = (step, 3, i, "E", "S")
-        for i in w.r_set:
-            if gamma_all[i] < 0:
-                step = -g[i] / gamma_all[i]
-                if step < best[0]:
-                    best = (step, 3, i, "Rv", "S")
-
-        step = max(best[0], 0.0)
-        if best[2] >= 0 and step <= ZERO_STEP:
-            stall += 1
-            if stall > len(w.alpha) + 4:
-                raise ImmobileError("bound slide made no numerical progress")
         else:
-            stall = 0
-        w.alpha[s_order] += psi[1:] * step
-        w.rho -= psi[0] * step
-        for i in w.e_set:
-            w.alpha[i] -= step
-        c_cur -= step
-        remaining -= step
-        if best[2] >= 0:
-            _, case_id, idx, src, dst = best
-            if src == "S":
-                w.alpha[idx] = 0.0 if dst == "Rv" else c_cur
-                w.move_from_s(idx, dst)
-            else:
-                w.move_to_s(idx)
-            events.append(MigrationEvent(case_id, idx, src, dst, step))
-            on_event(w)
-    return c_cur
+            i = min(pool, key=lambda j: (f[j], j))
+        self.rho = float(f[i])
+        self.move(i, "S")
+        return i, "E" if from_e else "Rv"
 
 
-def _apply_insert_phase(w: _Working, c_bound, events, on_event):
-    """Grow the candidate coefficient until it reaches S or the bound."""
+def _breakpoints(w: _Working, g, beta, gamma, dc, growing, c_new):
+    """(steps, case ids, indices) of every event the walk can meet next.
+
+    ``dc`` is the bound's rate per unit step. While the candidate grows it
+    ends the leg by reaching S (case 4) or the bound (case 5); otherwise the
+    bound reaching ``c_new`` ends the walk (case 0, no migration).
+    """
+    s = np.asarray(w.sys.s_order, dtype=int)
+    b = beta[1:]
+    e = np.asarray(w.e_set, dtype=int)
+    r = np.asarray([i for i in w.r_set if not (growing and i == w.cand)],
+                   dtype=int)
+    up, down = b - dc > 0, b < 0
+    e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
+    parts = [
+        ((w.c - w.alpha[s[up]]) / (b[up] - dc), 1, s[up]),
+        (-w.alpha[s[down]] / b[down], 2, s[down]),
+        (-g[e_in] / gamma[e_in], 3, e_in),
+        (-g[r_in] / gamma[r_in], 3, r_in),
+    ]
+    c = w.cand
+    if not growing:
+        parts.append(([w.c - c_new], 0, [-1]))
+    else:
+        if gamma[c] > 0:
+            parts.append(([-g[c] / gamma[c]], 4, [c]))
+        parts.append(([w.c - w.alpha[c]], 5, [c]))
+    steps = np.concatenate([np.asarray(p[0], dtype=float) for p in parts])
+    cases = np.concatenate([np.full(len(p[2]), p[1]) for p in parts])
+    index = np.concatenate([np.asarray(p[2], dtype=int) for p in parts])
+    return steps, cases, index
+
+
+def _walk(w: _Working, c_new, events, on_event):
+    """Grow the candidate's coefficient until it is consistent, then slide
+    the bound from the old C down to ``c_new``, migrating as needed."""
+    growing = w.g(w.cand) < 0.0
     budget = MAX_EVENTS_PER_POINT * (w.x.shape[0] + 1)
     stall = 0
     while True:
         if budget <= 0:
-            raise ImmobileError("insertion loop exceeded event budget")
+            raise ImmobileError("homotopy walk exceeded event budget")
         budget -= 1
         g = w.g()
-        g_c = g[w.cand]
-        if g_c >= -KKT_TOL and w.cand in w.r_set:
-            break  # candidate became consistent while others migrated
-        if not w.s_set:
-            i, src = w.recruit_support(want_absorber=False)
+        if growing and g[w.cand] >= -KKT_TOL:
+            growing = False  # consistent while others migrated
+        if not growing and w.c - c_new <= ZERO_STEP:
+            return
+        if w.sys.empty:
+            i, src = w.recruit_support(growing)
             events.append(MigrationEvent(3, i, src, "S", 0.0))
             on_event(w)
             continue
-        s_order = w.sys.s_order
-        beta = w.beta()
-        gamma_all = (w.kmat[:, w.cand] + w.kmat[:, s_order] @ beta[1:]
-                     + beta[0])
-
-        candidates = []
-        for pos, i in enumerate(s_order):
-            b_i = beta[pos + 1]
-            if b_i > 0:
-                candidates.append(((c_bound - w.alpha[i]) / b_i, 1, i,
-                                   "S", "E"))
-            elif b_i < 0:
-                candidates.append((-w.alpha[i] / b_i, 2, i, "S", "Rv"))
-        for i in w.e_set:
-            if gamma_all[i] > 0:
-                candidates.append((-g[i] / gamma_all[i], 3, i, "E", "S"))
-        for i in w.r_set:
-            if i == w.cand:
-                continue
-            if gamma_all[i] < 0:
-                candidates.append((-g[i] / gamma_all[i], 3, i, "Rv", "S"))
-        if gamma_all[w.cand] > 0:
-            candidates.append((-g_c / gamma_all[w.cand], 4, w.cand,
-                               "candidate", "S"))
-        candidates.append((c_bound - w.alpha[w.cand], 5, w.cand,
-                           "candidate", "E"))
-        viable = [c for c in candidates if c[0] > -ZERO_STEP]
-        if not viable:
-            raise ImmobileError("no positive coefficient increment available")
-        step, case_id, idx, src, dst = min(
-            viable, key=lambda c: (max(c[0], 0.0), c[1], c[2]))
-        step = max(step, 0.0)
-        if step <= ZERO_STEP:
+        if growing:
+            drive, sign, dc = [w.cand], 1.0, 0.0
+        else:
+            drive, sign, dc = list(w.e_set), -1.0, -1.0
+        k_drive = sign * w.kmat[:, drive].sum(axis=1)
+        beta, gamma = _rates(w.sys, w.kmat, k_drive, sign * len(drive))
+        step, case_id, idx = _select(
+            *_breakpoints(w, g, beta, gamma, dc, growing, c_new))
+        if case_id in (1, 2, 3) and step <= ZERO_STEP:
             stall += 1
             if stall > len(w.alpha) + 4:
-                raise ImmobileError("insertion made no numerical progress")
+                raise ImmobileError("homotopy walk made no numerical progress")
         else:
             stall = 0
 
-        w.alpha[s_order] += beta[1:] * step
+        w.alpha[w.sys.s_order] += beta[1:] * step
         w.rho -= beta[0] * step
-        w.alpha[w.cand] += step
-        if case_id == 4:
-            w.r_set.remove(w.cand)
-            w.move_to_s(w.cand)
-            events.append(MigrationEvent(4, w.cand, "candidate", "S", step))
-            on_event(w)
-            break
-        if case_id == 5:
-            w.r_set.remove(w.cand)
-            w.e_set.append(w.cand)
-            w.alpha[w.cand] = c_bound
-            events.append(MigrationEvent(5, w.cand, "candidate", "E", step))
-            on_event(w)
-            break
-        if src == "S":
-            w.alpha[idx] = 0.0 if dst == "Rv" else c_bound
-            w.move_from_s(idx, dst)
+        w.alpha[drive] += sign * step
+        w.c += dc * step
+        if case_id == 0:
+            continue
+        if case_id >= 4:
+            src, growing = "candidate", False
+        elif case_id == 3:
+            src = "E" if idx in w.e_set else "Rv"
         else:
-            w.move_to_s(idx)
-        events.append(MigrationEvent(case_id, idx, src, dst, step))
+            src = "S"
+        w.move(idx, _DESTINATION[case_id])
+        events.append(MigrationEvent(case_id, idx, src,
+                                     _DESTINATION[case_id], step))
         on_event(w)
 
 
@@ -463,21 +315,16 @@ def add_sample(m: OcsvmModel, x_c, on_event=None):
         raise ValueError("candidate vector must be finite")
     events = []
     w = _Working(m, x_c)
-    callback = on_event or (lambda _w: None)
-    c_old = 1.0 / (m.nu * m.n)
     c_new = 1.0 / (m.nu * (m.n + 1))
     try:
-        if w.g(w.cand) < 0.0:
-            _apply_insert_phase(w, c_old, events, callback)
-        _apply_bound_phase(w, c_old, c_new, events, callback)
+        _walk(w, c_new, events, on_event or (lambda _w: None))
     except np.linalg.LinAlgError as exc:
         raise ImmobileError(f"linear algebra failure: {exc}") from exc
     if w.sys.empty:
         # rho is only pinned to an interval; match the batch convention
         w.rho = recover_rho(w.f_vals(), w.alpha, c_new)
-    out = w.as_model()
     try:
-        kkt_partition(out)
+        partition(w.g(), w.alpha, c_new)
     except KktViolationError as exc:
         raise ImmobileError(f"update left a KKT violation: {exc}") from exc
-    return out, events
+    return OcsvmModel(w.x, w.alpha, w.rho, m.nu, m.kernel), events

@@ -16,6 +16,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from .tensor import from_hex, to_hex
 
 KKT_TOL = 1e-6
 SMO_TOL = 1e-8
@@ -109,29 +110,30 @@ class OcsvmModel:
     def training_decision_values(self) -> np.ndarray:
         return self.gram() @ self.alpha - self.rho
 
-    def to_json(self) -> str:
-        payload = {
-            "nu": float.hex(self.nu),
+    def to_dict(self) -> dict:
+        """JSON-ready payload with every float stored as exact hex."""
+        return {
+            "nu": to_hex(self.nu),
             "kernel": {"kind": self.kernel.kind,
-                       "sigma": float.hex(float(self.kernel.sigma))},
-            "alpha": [float.hex(float(a)) for a in self.alpha],
-            "rho": float.hex(self.rho),
-            "train_x": [[float.hex(float(v)) for v in row] for row in self.x],
+                       "sigma": to_hex(self.kernel.sigma)},
+            "alpha": to_hex(self.alpha),
+            "rho": to_hex(self.rho),
+            "train_x": to_hex(self.x),
         }
-        return json.dumps(payload)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "OcsvmModel":
+        kernel = KernelSpec(payload["kernel"]["kind"],
+                            from_hex(payload["kernel"]["sigma"]))
+        return cls(from_hex(payload["train_x"]), from_hex(payload["alpha"]),
+                   from_hex(payload["rho"]), from_hex(payload["nu"]), kernel)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "OcsvmModel":
-        payload = json.loads(text)
-        kernel = KernelSpec(payload["kernel"]["kind"],
-                            float.fromhex(payload["kernel"]["sigma"]))
-        return cls(
-            [[float.fromhex(v) for v in row] for row in payload["train_x"]],
-            [float.fromhex(a) for a in payload["alpha"]],
-            float.fromhex(payload["rho"]),
-            float.fromhex(payload["nu"]),
-            kernel,
-        )
+        return cls.from_dict(json.loads(text))
 
 
 def decision_value(m: OcsvmModel, x) -> float:
@@ -198,34 +200,22 @@ def train_batch(x, nu, kernel: KernelSpec) -> OcsvmModel:
 
 def kkt_partition(m: OcsvmModel, tol: float = KKT_TOL):
     """Partition training indices into (S, E, Rv); raise on any violation."""
-    g = m.training_decision_values()
-    c_bound = m.c_bound
+    return partition(m.training_decision_values(), m.alpha, m.c_bound, tol)
+
+
+def partition(g, alpha, c_bound, tol: float = KKT_TOL):
+    """(S, E, Rv) index lists from decision values ``g`` and coefficients;
+    raises KktViolationError naming the worst violator."""
     bound_eps = max(1e-12, 1e-6 * c_bound)
-    s_idx, e_idx, r_idx = [], [], []
-    worst = (None, 0.0)
-    for i in range(m.n):
-        a = m.alpha[i]
-        if a <= bound_eps:
-            err = max(0.0, -g[i] - tol)
-            if err > 0:
-                worst = max(worst, (i, err), key=lambda t: t[1])
-                continue
-            r_idx.append(i)
-        elif a >= c_bound - bound_eps:
-            err = max(0.0, g[i] - tol)
-            if err > 0:
-                worst = max(worst, (i, err), key=lambda t: t[1])
-                continue
-            e_idx.append(i)
-        else:
-            err = max(0.0, abs(g[i]) - tol)
-            if err > 0:
-                worst = max(worst, (i, err), key=lambda t: t[1])
-                continue
-            s_idx.append(i)
-    if worst[0] is not None:
+    at_zero = alpha <= bound_eps
+    at_bound = ~at_zero & (alpha >= c_bound - bound_eps)
+    margin = ~at_zero & ~at_bound
+    err = np.where(at_zero, -g, np.where(at_bound, g, np.abs(g))) - tol
+    if np.any(err > 0):
+        worst = int(np.argmax(err))
         raise KktViolationError(
-            f"index {worst[0]} violates KKT by {worst[1]:.3e}",
-            index=worst[0], excess=worst[1],
+            f"index {worst} violates KKT by {err[worst]:.3e}",
+            index=worst, excess=float(err[worst]),
         )
-    return s_idx, e_idx, r_idx
+    return (np.flatnonzero(margin).tolist(), np.flatnonzero(at_bound).tolist(),
+            np.flatnonzero(at_zero).tolist())

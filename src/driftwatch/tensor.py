@@ -185,6 +185,23 @@ def load_tensor_csv(path: str) -> DenseTensor3:
     return DenseTensor3(arr)
 
 
+_HEX = np.frompyfunc(float.hex, 1, 1)
+_UNHEX = np.frompyfunc(float.fromhex, 1, 1)
+
+
+def to_hex(values):
+    """Exact hex strings of a float, or nested lists of them for an array."""
+    out = _HEX(np.asarray(values, dtype=np.float64))
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def from_hex(values):
+    """Inverse of :func:`to_hex`: a float, or a float64 array."""
+    if isinstance(values, str):
+        return float.fromhex(values)
+    return _UNHEX(np.array(values, dtype=object)).astype(np.float64)
+
+
 def save_factor_csv(matrix: np.ndarray, path: str) -> None:
     """Export one factor matrix as a plain CSV of row values."""
     try:

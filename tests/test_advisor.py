@@ -306,6 +306,23 @@ class TestProcessEvent:
             state, _ = process_event(state, self.normal_slice(f_true, rng))
         assert state.events_seen == 5
 
+    def test_nonfinite_slice_leaves_state_untouched(self):
+        state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED)
+        clean = copy.deepcopy(state)
+        rng = np.random.default_rng(16)
+        bad = self.normal_slice(f_true, rng)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            process_event(state, bad)
+        actions = set()
+        for k in range(20):
+            slice_ij = (1.0, 3.0, 25.0)[k % 3] * self.normal_slice(f_true, rng)
+            state, v = process_event(state, slice_ij)
+            clean, expected = process_event(clean, slice_ij)
+            assert v == expected
+            actions.add(v.action)
+        assert len(actions) > 1
+
 
 class TestCalibration:
     def test_returns_positive_threshold(self):

@@ -219,3 +219,37 @@ class TestBench:
         assert kinds == {"sgd", "nesgd"}
         for r in rows:
             float(r["rmse"])  # parseable full-precision values
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", [
+        "missing_bundle", "truncated_bundle", "missing_bundle_key",
+        "unknown_update_policy", "missing_eval_verdicts",
+        "unwritable_stream_verdicts",
+    ])
+    def test_exit_code_2(self, tmp_path, case):
+        tensor_path = tmp_path / "t.csv"
+        bundle = tmp_path / "bundle.json"
+        run_cli(*synth_args(tensor_path))
+        run_cli(*train_args(tensor_path, bundle))
+        payload = json.loads(bundle.read_text())
+        verdicts = tmp_path / "v.csv"
+        if case == "missing_bundle":
+            bundle.unlink()
+        elif case == "truncated_bundle":
+            bundle.write_text(bundle.read_text()[:200])
+        elif case == "missing_bundle_key":
+            del payload["factors"]
+            bundle.write_text(json.dumps(payload))
+        elif case == "unknown_update_policy":
+            payload["config"]["update_policy"] = "no_such_policy"
+            bundle.write_text(json.dumps(payload))
+        elif case == "unwritable_stream_verdicts":
+            verdicts = tmp_path / "no_such_dir" / "v.csv"
+        if case == "missing_eval_verdicts":
+            argv = ["eval", "--verdicts", str(verdicts),
+                    "--labels", str(tmp_path / "t.labels.csv")]
+        else:
+            argv = ["stream", "--bundle", str(bundle),
+                    "--tensor", str(tensor_path), "--verdicts", str(verdicts)]
+        assert run_cli(*argv) == 2

@@ -290,7 +290,7 @@ class TestStream:
         base = rmse(window, d.factors)
         for k in range(60, 140):
             d, _ = update_online(d, full.data[:, :, k])
-        final = rmse(d.tensor, d.factors)
+        final = rmse(DenseTensor3(np.stack(d.slices, axis=2)), d.factors)
         assert final <= max(1.5 * base, 1e-3)
 
     def test_update_online_shape_check(self):

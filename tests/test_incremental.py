@@ -10,15 +10,12 @@ from driftwatch import (
     OcsvmModel,
     add_sample,
     build_system,
-    compute_beta,
-    compute_gamma,
     kernel_matrix,
     kkt_partition,
     median_pairwise_sigma,
-    q_inverse_expand,
-    q_inverse_shrink,
     train_batch,
 )
+from driftwatch.incremental import _expand, _rates, _shrink
 
 
 def make_model(n=20, seed=0, nu=0.3, dim=2):
@@ -36,6 +33,16 @@ def assembled_q(kmat, s_order):
     return q
 
 
+def candidate_rates(m, x_c):
+    """(sys, beta, gamma) for growing the coefficient of x_c, which is
+    appended as the last row of the enlarged Gram matrix."""
+    kmat = kernel_matrix(m.kernel, np.vstack([m.x, np.atleast_2d(x_c)]))
+    s_idx, _, _ = kkt_partition(m)
+    sys = build_system(kmat, s_idx)
+    beta, gamma = _rates(sys, kmat, kmat[:, -1], 1.0)
+    return sys, beta, gamma
+
+
 class TestBorderedSystem:
     def test_single_member_closed_form(self):
         x, m = make_model(seed=1)
@@ -46,7 +53,7 @@ class TestBorderedSystem:
             sys1.q_inv, [[-k_ss, 1.0], [1.0, 0.0]], atol=1e-12
         )
         # single-member sensitivity: beta = (K_ss - K_sc, -1)
-        beta = compute_beta(m, sys1, x[7])
+        beta, _ = _rates(sys1, kmat, kmat[:, 7], 1.0)
         k_sc = kernel_matrix(m.kernel, x[3:4], x[7:8])[0, 0]
         np.testing.assert_allclose(beta, [k_ss - k_sc, -1.0], atol=1e-12)
 
@@ -71,9 +78,9 @@ class TestBorderedSystem:
         s_idx, e_idx, r_idx = kkt_partition(m)
         sys = build_system(m.gram(), s_idx)
         extra = (e_idx + r_idx)[0]
-        grown = q_inverse_expand(sys, m, extra)
+        grown = _expand(sys, m.gram(), extra)
         assert grown.s_order == s_idx + [extra]
-        back = q_inverse_shrink(grown, m, extra)
+        back = _shrink(grown, m.gram(), extra)
         assert back.s_order == s_idx
         np.testing.assert_allclose(back.q_inv, sys.q_inv, atol=1e-8)
 
@@ -82,7 +89,7 @@ class TestBorderedSystem:
         s_idx, e_idx, r_idx = kkt_partition(m)
         sys = build_system(m.gram(), s_idx)
         extra = (e_idx + r_idx)[-1]
-        grown = q_inverse_expand(sys, m, extra)
+        grown = _expand(sys, m.gram(), extra)
         direct = build_system(m.gram(), s_idx + [extra])
         np.testing.assert_allclose(grown.q_inv, direct.q_inv, atol=1e-8)
 
@@ -90,18 +97,14 @@ class TestBorderedSystem:
 class TestSensitivities:
     def test_beta_margin_entries_sum_to_minus_one(self):
         x, m = make_model(seed=6)
-        s_idx, _, _ = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
-        beta = compute_beta(m, sys, np.array([0.3, -0.2]))
+        _, beta, _ = candidate_rates(m, np.array([0.3, -0.2]))
         assert beta[1:].sum() == pytest.approx(-1.0, abs=1e-9)
 
     def test_margin_decision_values_stay_pinned(self):
         # moving (alpha_S, rho) along beta keeps every margin g at zero
         x, m = make_model(seed=7)
-        s_idx, _, _ = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
         x_c = np.array([0.5, 0.1])
-        beta = compute_beta(m, sys, x_c)
+        sys, beta, _ = candidate_rates(m, x_c)
         delta = 1e-4
         probe = m.copy()
         k_col = kernel_matrix(m.kernel, m.x, np.atleast_2d(x_c))[:, 0]
@@ -117,31 +120,26 @@ class TestSensitivities:
 
     def test_gamma_finite_difference(self):
         x, m = make_model(seed=8)
-        s_idx, e_idx, r_idx = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
+        _, e_idx, r_idx = kkt_partition(m)
         x_c = np.array([0.4, 0.9])
-        beta = compute_beta(m, sys, x_c)
-        gamma = compute_gamma(m, sys, beta, x_c)
+        sys, beta, gamma = candidate_rates(m, x_c)
         others = e_idx + r_idx
         delta = 1e-6
         k_col = kernel_matrix(m.kernel, np.vstack([m.x, x_c]),
                               np.atleast_2d(x_c))[:, 0]
         kmat = m.gram()
-        for pos, i in enumerate(others):
+        for i in others:
             g0 = kmat[i] @ m.alpha - m.rho
             g1 = (kmat[i] @ m.alpha
                   + kmat[i, sys.s_order] @ (delta * beta[1:])
                   + delta * k_col[i] - (m.rho - delta * beta[0]))
-            assert gamma[pos] == pytest.approx((g1 - g0) / delta, abs=1e-6)
+            assert gamma[i] == pytest.approx((g1 - g0) / delta, abs=1e-6)
 
     def test_candidate_gamma_is_last(self):
         x, m = make_model(seed=9)
-        s_idx, e_idx, r_idx = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
         x_c = np.array([-0.3, 0.7])
-        beta = compute_beta(m, sys, x_c)
-        gamma = compute_gamma(m, sys, beta, x_c)
-        assert gamma.shape == (len(e_idx) + len(r_idx) + 1,)
+        _, _, gamma = candidate_rates(m, x_c)
+        assert gamma.shape == (m.n + 1,)
         # curvature of the candidate against itself is nonnegative
         assert gamma[-1] >= -1e-9
 
@@ -211,6 +209,12 @@ class TestAddSample:
             assert set(d) == {"case_id", "index", "from_set", "to_set",
                               "delta_alpha_c"}
             assert d["case_id"] in (1, 2, 3, 4, 5)
+
+    def test_result_has_only_constructor_fields(self):
+        x, m = make_model(seed=18)
+        out, _ = add_sample(m, np.array([1.0, -1.0]))
+        fresh = OcsvmModel(out.x, out.alpha, out.rho, out.nu, out.kernel)
+        assert set(vars(out)) == set(vars(fresh))
 
     def test_rejects_nonfinite_candidate(self):
         x, m = make_model(seed=16)

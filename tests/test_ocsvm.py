@@ -25,7 +25,10 @@ from driftwatch import (
 def qp_oracle(x, nu, kernel, iters=200_000):
     """Projected gradient on the dual: min 1/2 a^T K a, sum(a)=1, 0<=a<=C.
 
-    The simplex-with-box projection is computed by bisection on the shift.
+    The projection onto the box-capped simplex is exact: the sum of
+    clip(v - t, 0, C) falls piecewise linearly in the shift t, with
+    breakpoints at v_i - C and v_i, so the shift that makes it 1 is found on
+    its piece and solved there in closed form.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -35,16 +38,15 @@ def qp_oracle(x, nu, kernel, iters=200_000):
     alpha = np.full(n, 1.0 / n)
 
     def project(v):
-        lo = v.min() - 1.0, 0
-        hi, lo = v.max(), v.min() - 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            s = np.clip(v - mid, 0.0, c_bound).sum()
-            if s > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return np.clip(v - 0.5 * (lo + hi), 0.0, c_bound)
+        shifts = np.unique(np.concatenate([v - c_bound, v]))
+        sums = np.clip(v[None, :] - shifts[:, None], 0.0, c_bound).sum(axis=1)
+        k = int(np.argmax(sums <= 1.0))  # sums falls from n*C >= 1 to 0
+        if k == 0 or sums[k] == 1.0:
+            t = shifts[k]
+        else:
+            t = shifts[k - 1] + (sums[k - 1] - 1.0) \
+                * (shifts[k] - shifts[k - 1]) / (sums[k - 1] - sums[k])
+        return np.clip(v - t, 0.0, c_bound)
 
     for _ in range(iters):
         alpha = project(alpha - lr * (kmat @ alpha))
