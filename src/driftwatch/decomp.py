@@ -154,28 +154,34 @@ def cp_gradient(x_unfold: np.ndarray, f: KruskalFactors, mode: int) -> np.ndarra
     return (x_unfold - factor @ design.T) @ design
 
 
-def _slice_gradients(slice_ij, a, b, c_row):
-    """Per-slice contributions to the mode directions for A, B and the C row."""
+def _slice_gradients(slice_ij, a, b, c_row, with_c):
+    """Per-slice contributions to the mode directions for A, B and, when
+    ``with_c``, the C row (None otherwise)."""
     resid = slice_ij - (a * c_row) @ b.T
     g_a = resid @ (b * c_row)
     g_b = resid.T @ (a * c_row)
-    g_c = np.einsum("ij,ir,jr->r", resid, a, b)
+    g_c = np.einsum("ij,ir,jr->r", resid, a, b) if with_c else None
     return g_a, g_b, g_c
 
 
 def _check_finite(*mats):
     for m in mats:
-        if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > OVERFLOW_LIMIT:
+        # one reduction; a NaN fails the comparison, so it raises too
+        if not np.abs(m).max() <= OVERFLOW_LIMIT:
             raise DivergedError("factor entries exceeded the overflow limit")
 
 
-def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind,
-                update_c=True):
+def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
     """One stochastic step on (A, B[, C row]) from a single frontal slice.
 
-    Mutates the velocity arrays in place and returns updated copies of the
-    factor blocks. The caller owns the step-counter increment.
+    ``vel_c_row`` None holds the C row fixed: its direction is neither
+    computed nor applied. Returns ``(a, b, c_row), (vel_a, vel_b,
+    vel_c_row)`` as new arrays and mutates none of its inputs, so a step
+    that raises ``DivergedError`` leaves the velocities as they were. Its
+    noise draws advance ``state.rng``; rewinding that on failure, and the
+    step-counter increment, are the caller's.
     """
+    update_c = vel_c_row is not None
     eta = state.lr(state.step)
     if kind is OptimizerKind.NESGD and state.nag_lookahead:
         # Look ahead by the upcoming displacement eta*gamma*vel. The velocity
@@ -186,10 +192,11 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind,
             slice_ij,
             a + look * vel_a,
             b + look * vel_b,
-            c_row + look * vel_c_row,
+            c_row + look * vel_c_row if update_c else c_row,
+            update_c,
         )
     else:
-        g_a, g_b, g_c = _slice_gradients(slice_ij, a, b, c_row)
+        g_a, g_b, g_c = _slice_gradients(slice_ij, a, b, c_row, update_c)
 
     sigma = state.perturb_sigma * (eta if state.perturb_decay else 1.0)
 
@@ -200,12 +207,12 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind,
 
     if kind is OptimizerKind.NESGD:
         gamma = state.friction
-        vel_a[...] = gamma * vel_a + (1.0 - gamma) * g_a
-        vel_b[...] = gamma * vel_b + (1.0 - gamma) * g_b
-        vel_c_row[...] = gamma * vel_c_row + (1.0 - gamma) * g_c
+        vel_a = gamma * vel_a + (1.0 - gamma) * g_a
+        vel_b = gamma * vel_b + (1.0 - gamma) * g_b
         a = a + eta * vel_a + noise(a.shape) - state.l1_beta * np.sign(a)
         b = b + eta * vel_b + noise(b.shape) - state.l1_beta * np.sign(b)
         if update_c:
+            vel_c_row = gamma * vel_c_row + (1.0 - gamma) * g_c
             c_row = c_row + eta * vel_c_row + noise(c_row.shape) \
                 - state.l1_beta * np.sign(c_row)
     else:
@@ -214,7 +221,7 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind,
         if update_c:
             c_row = c_row + eta * g_c + noise(c_row.shape)
     _check_finite(a, b, c_row)
-    return a, b, c_row
+    return (a, b, c_row), (vel_a, vel_b, vel_c_row)
 
 
 def sgd_sweep(t: DenseTensor3, f: KruskalFactors, state: NesgdState,
@@ -225,13 +232,13 @@ def sgd_sweep(t: DenseTensor3, f: KruskalFactors, state: NesgdState,
     if state.vel_a.shape != f.a.shape or state.vel_b.shape != f.b.shape \
             or state.vel_c.shape != f.c.shape:
         raise ShapeMismatchError("velocity shapes do not match the factors")
-    a, b, c = f.a.copy(), f.b.copy(), f.c.copy()
-    vel_c_row = state.vel_c[sample_k].copy()
-    a, b, c_row = _apply_step(
-        a, b, c[sample_k].copy(), state.vel_a, state.vel_b, vel_c_row,
-        t.slice_at(sample_k), state, kind,
+    (a, b, c_row), (vel_a, vel_b, vel_c_row) = _apply_step(
+        f.a, f.b, f.c[sample_k], state.vel_a, state.vel_b,
+        state.vel_c[sample_k], t.slice_at(sample_k), state, kind,
     )
+    c = f.c.copy()
     c[sample_k] = c_row
+    state.vel_a, state.vel_b = vel_a, vel_b
     state.vel_c[sample_k] = vel_c_row
     state.step += 1
     return KruskalFactors(a, b, c), state
@@ -303,9 +310,13 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     """Absorb one new frontal slice; returns (d, c_new).
 
     The new temporal row is the ridge least-squares fit of the slice against
-    the current (B(*)A) design; A and B then take one stochastic step from
-    the new slice before the row is appended. A slice of the wrong shape or
-    with non-finite entries is rejected before any state changes.
+    the current (B(*)A) design, solved from its R x R normal equations
+    ((A^T A)*(B^T B) + ridge I) c = diag(A^T X B) without forming the
+    design; A and B then take one stochastic step from the new slice before
+    the row is appended. A slice of the wrong shape or with non-finite
+    entries is rejected before any state changes. A step that diverges
+    raises ``DivergedError`` and leaves the state as it was, the noise
+    generator included.
     """
     slice_ij = np.asarray(slice_ij, dtype=np.float64)
     f = d.factors
@@ -316,17 +327,20 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
         )
     if not np.all(np.isfinite(slice_ij)):
         raise ValidationError("slice contains non-finite entries")
-    design = khatri_rao(f.b, f.a)  # row index i + I*j matches vec order below
-    gram = design.T @ design + RIDGE * np.eye(f.rank)
-    c_new = np.linalg.solve(gram, design.T @ slice_ij.reshape(-1, order="F"))
+    gram = (f.a.T @ f.a) * (f.b.T @ f.b) + RIDGE * np.eye(f.rank)
+    c_new = np.linalg.solve(gram, np.sum(f.a * (slice_ij @ f.b), axis=0))
 
     state = d.state
-    a, b = f.a.copy(), f.b.copy()
-    vel_c_row = np.zeros(f.rank)
-    a, b, _ = _apply_step(
-        a, b, c_new.copy(), state.vel_a, state.vel_b, vel_c_row,
-        slice_ij, state, d.kind, update_c=False,
-    )
+    rng_state = state.rng.bit_generator.state
+    try:
+        (a, b, _), (vel_a, vel_b, _) = _apply_step(
+            f.a, f.b, c_new, state.vel_a, state.vel_b, None,
+            slice_ij, state, d.kind,
+        )
+    except DivergedError:
+        state.rng.bit_generator.state = rng_state
+        raise
+    state.vel_a, state.vel_b = vel_a, vel_b
     state.step += 1
     c = np.vstack([f.c, c_new])
     state.vel_c = np.vstack([state.vel_c, np.zeros(f.rank)])

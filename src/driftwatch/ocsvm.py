@@ -104,8 +104,11 @@ class OcsvmModel:
         return kernel_matrix(self.kernel, self.x)
 
     def decision_values(self, points) -> np.ndarray:
-        kmat = kernel_matrix(self.kernel, np.atleast_2d(points), self.x)
-        return kmat @ self.alpha - self.rho
+        # rows with alpha = 0 add nothing to g, so only the support vectors
+        # are evaluated; they are found per call, since alpha is public
+        sv = np.flatnonzero(self.alpha)
+        kmat = kernel_matrix(self.kernel, np.atleast_2d(points), self.x[sv])
+        return kmat @ self.alpha[sv] - self.rho
 
     def training_decision_values(self) -> np.ndarray:
         return self.gram() @ self.alpha - self.rho

@@ -11,6 +11,7 @@ from driftwatch import (
     Action,
     AdvisorConfig,
     DenseTensor3,
+    DivergedError,
     KernelSpec,
     LocationSnapshot,
     OptimizerKind,
@@ -306,14 +307,8 @@ class TestProcessEvent:
             state, _ = process_event(state, self.normal_slice(f_true, rng))
         assert state.events_seen == 5
 
-    def test_nonfinite_slice_leaves_state_untouched(self):
-        state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED)
-        clean = copy.deepcopy(state)
-        rng = np.random.default_rng(16)
-        bad = self.normal_slice(f_true, rng)
-        bad[1, 2] = np.nan
-        with pytest.raises(ValidationError):
-            process_event(state, bad)
+    def assert_matches_clean_copy(self, state, clean, f_true, rng):
+        """20 good slices give ``state`` the verdicts of ``clean``."""
         actions = set()
         for k in range(20):
             slice_ij = (1.0, 3.0, 25.0)[k % 3] * self.normal_slice(f_true, rng)
@@ -322,6 +317,28 @@ class TestProcessEvent:
             assert v == expected
             actions.add(v.action)
         assert len(actions) > 1
+
+    def test_nonfinite_slice_leaves_state_untouched(self):
+        state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED)
+        clean = copy.deepcopy(state)
+        rng = np.random.default_rng(16)
+        bad = self.normal_slice(f_true, rng)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            process_event(state, bad)
+        self.assert_matches_clean_copy(state, clean, f_true, rng)
+
+    def test_overflowing_slice_leaves_state_untouched(self):
+        # finite input whose step overflows: the velocities and the noise
+        # generator must come out as they went in
+        state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED)
+        clean = copy.deepcopy(state)
+        rng = np.random.default_rng(16)
+        bad = 1e200 * self.normal_slice(f_true, rng)
+        with pytest.raises(DivergedError), np.errstate(over="ignore"):
+            process_event(state, bad)
+        assert state.events_seen == 0
+        self.assert_matches_clean_copy(state, clean, f_true, rng)
 
 
 class TestCalibration:

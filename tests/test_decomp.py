@@ -14,18 +14,21 @@ from driftwatch import (
     NesgdState,
     OptimizerKind,
     ShapeMismatchError,
+    StreamDecomposition,
     StreamOptions,
     ValidationError,
     cp_als,
     cp_gradient,
     decompose_stream_init,
     init_factors,
+    khatri_rao,
     kruskal_reconstruct,
     rmse,
     sgd_sweep,
     unfold,
     update_online,
 )
+from driftwatch.decomp import RIDGE
 
 RNG = np.random.default_rng(77)
 
@@ -268,6 +271,25 @@ class TestStream:
         # residual is ~0 so the A step is driven by noise/shrinkage only
         assert np.abs(d.factors.a - a_before).max() < 1e-3
         assert d.factors.c.shape[0] == t.dims[2] + 1
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 9)])
+    def test_update_online_row_matches_design_solve(self, rank, shape):
+        # oracle: the ridge solve against the explicit I*J x R design
+        rng = np.random.default_rng(rank * 100 + shape[0])
+        i_n, j_n = shape
+        f = KruskalFactors(rng.standard_normal((i_n, rank)),
+                           rng.standard_normal((j_n, rank)),
+                           rng.standard_normal((4, rank)))
+        state = NesgdState.zeros((i_n, j_n, 4), rank, lr=lambda s: 1e-3)
+        d = StreamDecomposition(f, state, OptimizerKind.NESGD, [])
+        slice_ij = rng.standard_normal(shape)
+        design = khatri_rao(f.b, f.a)
+        expected = np.linalg.solve(
+            design.T @ design + RIDGE * np.eye(rank),
+            design.T @ slice_ij.reshape(-1, order="F"))
+        _, c_new = update_online(d, slice_ij)
+        np.testing.assert_allclose(c_new, expected, rtol=1e-10)
 
     def test_update_online_zero_slice(self):
         t = self.make_window(k_n=10)

@@ -12,6 +12,7 @@ from driftwatch import (
     OcsvmModel,
     ShapeMismatchError,
     ValidationError,
+    add_sample,
     classify,
     decision_value,
     kernel_eval,
@@ -194,6 +195,36 @@ class TestDecisionAndClassify:
             a, b = rng.standard_normal((2, 2))
             lhs = abs(decision_value(self.m, a) - decision_value(self.m, b))
             assert lhs <= lip * np.linalg.norm(a - b) + 1e-12
+
+
+def scoring_model(kind):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((40, 3))
+    rbf = KernelSpec("rbf", median_pairwise_sigma(x))
+    if kind == "rbf":
+        return train_batch(x, 0.2, rbf)
+    if kind == "linear":
+        # off the origin, so the linear boundary leaves rows at alpha = 0
+        return train_batch(x + 2.0, 0.2, KernelSpec("linear"))
+    if kind == "add_sample":
+        m, _ = add_sample(train_batch(x[:-1], 0.2, rbf), x[-1])
+        return m
+    alpha = rng.uniform(0.5, 1.5, size=40)
+    return OcsvmModel(x, alpha / alpha.sum(), 0.3, 0.2, rbf)
+
+
+class TestScoringOracle:
+    @pytest.mark.parametrize("kind",
+                             ["rbf", "linear", "add_sample", "all_nonzero"])
+    def test_matches_sum_over_all_rows(self, kind):
+        # oracle: the decision function summed over every training row
+        m = scoring_model(kind)
+        assert np.any(m.alpha == 0.0) == (kind != "all_nonzero")
+        rng = np.random.default_rng(16)
+        points = np.vstack([m.x, rng.standard_normal((25, 3))])
+        expected = kernel_matrix(m.kernel, points, m.x) @ m.alpha - m.rho
+        np.testing.assert_allclose(m.decision_values(points), expected,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestKktPartition:

@@ -1,0 +1,154 @@
+"""Check that two checkouts of driftwatch behave the same on the benchmark.
+
+Usage, from anywhere:
+
+    python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
+
+For every workload of ``streambench/workloads.py`` and seeds 1-3, each
+checkout runs ``streambench/pipeline.setup`` and one ``stream_pass`` in a
+subprocess of its own, importing its own ``src/`` and ``streambench/``.
+The two runs are compared on:
+
+- the action of every event;
+- the ``(case_id, index)`` sequence of insert migrations;
+- the sha256 of the set-up bundle;
+- ``final_model_check`` holding on both final models;
+- the largest |delta g_raw| over all events, which may be at most
+  ``G_RAW_TOL``.
+
+One line is printed per workload and seed. The exit status is 1 on any
+mismatch, 0 otherwise. Nothing under ``streambench/`` is modified.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+G_RAW_TOL = 1e-12
+CHILD_TIMEOUT_S = 1800
+# as streambench/run.py: one BLAS thread, set before numpy is imported
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_child(checkout, workload, seed):
+    """Set up and stream one pass inside ``checkout``; returns the record."""
+    checkout = Path(checkout).resolve()
+    env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(checkout / "src"), str(checkout / "streambench")])
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child",
+         str(checkout), workload, str(seed)],
+        env=env, cwd=checkout, capture_output=True, text=True, check=False,
+        timeout=CHILD_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} {workload} seed {seed} failed:\n"
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def child(checkout, workload, seed):
+    """Runs in the subprocess; prints one JSON record."""
+    import driftwatch
+    from driftwatch import advisor
+    import pipeline
+    import workloads
+
+    src = Path(checkout).resolve() / "src" / "driftwatch"
+    if Path(driftwatch.__file__).resolve().parent != src:
+        raise RuntimeError(f"imported driftwatch from {driftwatch.__file__}")
+    spec = workloads.WORKLOADS[workload]
+    data, _ = workloads.generate(spec, seed)
+    window = [data[:, :, k].copy() for k in range(spec.window)]
+    events = [data[:, :, spec.window + k].copy() for k in range(spec.events)]
+    del data
+
+    g_raw = []
+    process_event = advisor.process_event
+
+    def recording(state, slice_ij):
+        state, verdict = process_event(state, slice_ij)
+        g_raw.append(verdict.g_raw)
+        return state, verdict
+
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle.json"
+        _, state = pipeline.setup(window, str(bundle))
+        digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
+    advisor.process_event = recording  # stream_pass looks it up per call
+    result = pipeline.stream_pass(state, events)
+    advisor.process_event = process_event
+    ok, diff, _, _ = pipeline.final_model_check(result.state.model)
+    print(json.dumps({
+        "actions": result.actions,
+        "failures": len(result.failures),
+        "migrations": [[ev["case_id"], ev["index"]]
+                       for ev in result.state.migration_log],
+        "bundle_sha256": digest,
+        "final_model_check": ok,
+        "final_model_diff": diff,
+        "g_raw": g_raw,
+    }))
+
+
+def compare(parent, change):
+    """(mismatch names, max |delta g_raw|) between two child records."""
+    bad = [key for key in ("actions", "migrations", "bundle_sha256")
+           if parent[key] != change[key]]
+    if parent["failures"] or change["failures"]:
+        bad.append("failures")
+    if not (parent["final_model_check"] and change["final_model_check"]):
+        bad.append("final_model_check")
+    if len(parent["g_raw"]) != len(change["g_raw"]):
+        bad.append("g_raw")
+        return bad, float("inf")
+    dg = max((abs(p - c) for p, c in zip(parent["g_raw"], change["g_raw"])),
+             default=0.0)
+    if not dg <= G_RAW_TOL:
+        bad.append("g_raw")
+    return bad, dg
+
+
+def main(argv):
+    if len(argv) == 4 and argv[0] == "--child":
+        child(argv[1], argv[2], int(argv[3]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_dir, change_dir = argv
+    for d in argv:
+        if not (Path(d) / "streambench" / "workloads.py").is_file():
+            print(f"error: {d} has no streambench/workloads.py",
+                  file=sys.stderr)
+            return 2
+    sys.path.insert(0, str(Path(change_dir, "streambench").resolve()))
+    sys.path.insert(0, str(Path(change_dir, "src").resolve()))
+    import workloads
+
+    mismatches = 0
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            parent = run_child(parent_dir, workload, seed)
+            change = run_child(change_dir, workload, seed)
+            bad, dg = compare(parent, change)
+            mismatches += bool(bad)
+            inserts = change["actions"].count("update_model")
+            print(f"{workload:16s} seed {seed}: "
+                  f"{'MISMATCH ' + ','.join(bad) if bad else 'match':28s} "
+                  f"max|dg_raw| {dg:.1e}  inserts {inserts}  "
+                  f"migrations {len(change['migrations'])}  "
+                  f"A3 diff {parent['final_model_diff']:.1e}/"
+                  f"{change['final_model_diff']:.1e}", flush=True)
+    print("behaviour matches" if not mismatches
+          else f"{mismatches} workload/seed runs differ")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
