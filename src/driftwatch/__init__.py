@@ -17,12 +17,10 @@ from .advisor import (
     process_event,
 )
 from .decomp import (
-    AlsOptions,
     NesgdState,
     OptimizerKind,
     StreamDecomposition,
     StreamOptions,
-    cp_als,
     cp_gradient,
     decompose_stream_init,
     default_lr,

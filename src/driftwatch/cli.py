@@ -81,16 +81,28 @@ def write_labels(path, labels):
             w.writerow([k, lab])
 
 
-def read_labels(path):
+def read_labels(path, n=None):
+    """Labels of time steps 0..n-1 (n defaults to the row count).
+
+    Every step needs exactly one row; a ``k`` that is out of range,
+    repeated or missing is a ValidationError.
+    """
     with _reading(path, "labels") as fh:
         rows = list(csv.DictReader(fh))
-    labels = [None] * len(rows)
-    try:
-        for row in rows:
-            labels[int(row["k"])] = row["label"]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"malformed labels file {path}: {exc!r}") \
-            from exc
+    labels = [None] * (len(rows) if n is None else n)
+    for row in rows:
+        try:
+            k, label = int(row["k"]), row["label"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed labels file {path}: {exc!r}") \
+                from exc
+        if not 0 <= k < len(labels) or labels[k] is not None:
+            raise ValidationError(
+                f"labels file {path}: k = {k} is out of range or repeated")
+        labels[k] = label
+    if None in labels:
+        raise ValidationError(
+            f"labels file {path} has no label for k = {labels.index(None)}")
     return labels
 
 
@@ -112,8 +124,6 @@ def save_bundle(path, window, decomp: StreamDecomposition, model: OcsvmModel,
             "perturb_sigma": to_hex(st.perturb_sigma),
             "l1_beta": to_hex(st.l1_beta),
             "step": st.step, "rng_seed": st.rng_seed,
-            "nag_lookahead": st.nag_lookahead,
-            "perturb_decay": st.perturb_decay,
             "rng_state": st.rng.bit_generator.state,
             "lr": {"a": to_hex(lr_params[0]), "b": to_hex(lr_params[1])},
         },
@@ -161,8 +171,6 @@ def load_bundle(path, window_slices):
             l1_beta=from_hex(sp["l1_beta"]),
             step=sp["step"],
             rng_seed=sp["rng_seed"],
-            nag_lookahead=sp["nag_lookahead"],
-            perturb_decay=sp["perturb_decay"],
         )
         state.rng.bit_generator.state = sp["rng_state"]
         decomp = StreamDecomposition(f, state, OptimizerKind(payload["kind"]),
@@ -193,6 +201,8 @@ def compute_metrics(verdict_rows, labels, far_window=100):
 
     ``verdict_rows`` are dicts with absolute time index "t" and "action".
     """
+    if far_window < 1:
+        raise ValidationError(f"far window {far_window} must be >= 1")
     far_per_window = []
     healthy_hits = anomalies = detected = 0
     win_healthy = win_false = 0
@@ -352,7 +362,6 @@ def cmd_stream(args):
     window, decomp, model, snapshot, config = load_bundle(args.bundle, [])
     if k_n <= window:
         raise EmptyStreamError("no events after the training window")
-    decomp.slices = [tensor.slice_at(k) for k in range(window)]
     if decomp.factors.a.shape[0] != tensor.dims[0] \
             or decomp.factors.b.shape[0] != tensor.dims[1]:
         raise ShapeMismatchError("bundle factors do not match tensor dims")
@@ -382,7 +391,7 @@ def cmd_stream(args):
                 fh.write("\n")
     metrics = None
     try:
-        labels = read_labels(labels_path(args.tensor))
+        labels = read_labels(labels_path(args.tensor), k_n)
         metrics = compute_metrics(rows, labels, args.far_window)
     except IoError:
         print("no labels file; skipping metrics", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""CP decomposition: offline ALS and the online SGD family.
+"""CP decomposition by the online SGD family (SGD, PSGD, NESGD).
 
 The stochastic optimizers follow the descent-direction convention in which
 the per-mode "gradient" is the residual correlated with the Khatri-Rao
@@ -7,16 +7,14 @@ with a *plus* sign. That direction is -1/2 times the derivative of the
 squared-error loss, so the plus-eta update descends the loss.
 """
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DivergedError, ShapeMismatchError, ValidationError
-from .tensor import DenseTensor3, KruskalFactors, khatri_rao, mode_design, rmse, unfold
-
-log = logging.getLogger(__name__)
+# khatri_rao is not called here; the benchmark tracer wraps decomp.khatri_rao
+from .tensor import DenseTensor3, KruskalFactors, khatri_rao, mode_design, rmse
 
 OVERFLOW_LIMIT = 1e12
 RIDGE = 1e-10
@@ -34,19 +32,6 @@ class OptimizerKind(Enum):
 
 
 @dataclass
-class AlsOptions:
-    max_iters: int = 500
-    tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
-
-
-@dataclass
 class NesgdState:
     """Mutable optimizer state shared by the SGD/PSGD/NESGD step kinds."""
 
@@ -59,10 +44,6 @@ class NesgdState:
     l1_beta: float = 1e-4
     step: int = 0
     rng_seed: int = 0
-    nag_lookahead: bool = True
-    # Noise std decays with the learning-rate schedule so the perturbation
-    # vanishes asymptotically; set False for a constant-sigma perturbation.
-    perturb_decay: bool = True
     rng: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -95,53 +76,6 @@ def init_factors(dims, rank, seed) -> KruskalFactors:
     )
 
 
-def _loss(t: DenseTensor3, f: KruskalFactors) -> float:
-    resid = t.data - np.einsum("ir,jr,kr->ijk", f.a, f.b, f.c)
-    return float(np.sum(resid**2))
-
-
-def _solve_ls(x_unfold, design, gram):
-    """Normal-equation solve with ridge fallback on rank deficiency."""
-    rhs = x_unfold @ design
-    try:
-        cond = np.linalg.cond(gram)
-        cond_bad = not np.isfinite(cond) or cond > 1e12
-    except np.linalg.LinAlgError:
-        cond_bad = True
-    if cond_bad:
-        # trace can be zero (all-zero factors), so keep an absolute floor
-        scale = max(float(np.trace(gram)), 1.0)
-        gram = gram + RIDGE * scale * np.eye(gram.shape[0])
-        log.info("gram matrix near-singular; applied ridge %.1e*trace", RIDGE)
-    return np.linalg.solve(gram, rhs.T).T
-
-
-def cp_als(t: DenseTensor3, rank: int, opts: AlsOptions = None):
-    """Alternating least squares CP fit.
-
-    Returns (factors, loss_trace); the trace is the squared-error loss after
-    initialization and after each full A, B, C sweep.
-    """
-    opts = opts or AlsOptions()
-    i_n, j_n, k_n = t.dims
-    if rank < 1 or rank > min(i_n * j_n, j_n * k_n, i_n * k_n):
-        raise ValidationError(f"rank {rank} out of range for dims {t.dims}")
-    f = init_factors(t.dims, rank, opts.seed)
-    a, b, c = f.a.copy(), f.b.copy(), f.c.copy()
-    x1, x2, x3 = unfold(t, 1), unfold(t, 2), unfold(t, 3)
-    trace = [_loss(t, f)]
-    for _ in range(opts.max_iters):
-        a = _solve_ls(x1, khatri_rao(c, b), (c.T @ c) * (b.T @ b))
-        b = _solve_ls(x2, khatri_rao(c, a), (c.T @ c) * (a.T @ a))
-        c = _solve_ls(x3, khatri_rao(b, a), (b.T @ b) * (a.T @ a))
-        f = KruskalFactors(a, b, c)
-        trace.append(_loss(t, f))
-        prev, cur = trace[-2], trace[-1]
-        if abs(prev - cur) < opts.tol * max(prev, 1e-300):
-            break
-    return f, trace
-
-
 def cp_gradient(x_unfold: np.ndarray, f: KruskalFactors, mode: int) -> np.ndarray:
     """Descent direction (X(m) - F_m D^T) D with D the mode-m Khatri-Rao design."""
     design = mode_design(f, mode)
@@ -172,7 +106,17 @@ def _check_finite(*mats):
 
 
 def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
-    """One stochastic step on (A, B[, C row]) from a single frontal slice.
+    """One momentum step on (A, B[, C row]) from a single frontal slice.
+
+    Every kind takes the same step on each matrix w with velocity vel:
+
+        vel <- gamma*vel + (1 - gamma)*g
+        w   <- w + eta*vel + N(0, sigma^2) - beta*sign(w)
+
+    with the direction g taken at the look-ahead point w + gamma*eta*vel.
+    SGD has gamma = beta = sigma = 0, PSGD adds sigma = perturb_sigma*eta,
+    and NESGD also uses gamma = friction and beta = l1_beta. Noise is drawn
+    only when sigma != 0, for A, B and the C row in that order.
 
     ``vel_c_row`` None holds the C row fixed: its direction is neither
     computed nor applied. Returns ``(a, b, c_row), (vel_a, vel_b,
@@ -183,43 +127,33 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
     """
     update_c = vel_c_row is not None
     eta = state.lr(state.step)
-    if kind is OptimizerKind.NESGD and state.nag_lookahead:
-        # Look ahead by the upcoming displacement eta*gamma*vel. The velocity
-        # is an exponential average of raw gradients, so an unscaled w+gamma*vel
-        # probe point sits O(|grad|) away from w and destabilizes the step.
-        look = state.friction * eta
-        g_a, g_b, g_c = _slice_gradients(
-            slice_ij,
-            a + look * vel_a,
-            b + look * vel_b,
-            c_row + look * vel_c_row if update_c else c_row,
-            update_c,
-        )
-    else:
-        g_a, g_b, g_c = _slice_gradients(slice_ij, a, b, c_row, update_c)
+    nesgd = kind is OptimizerKind.NESGD
+    gamma = state.friction if nesgd else 0.0
+    beta = state.l1_beta if nesgd else 0.0
+    # the noise std decays with the learning rate, so it vanishes as eta does
+    sigma = 0.0 if kind is OptimizerKind.SGD else state.perturb_sigma * eta
 
-    sigma = state.perturb_sigma * (eta if state.perturb_decay else 1.0)
+    # Look ahead by the upcoming displacement eta*gamma*vel. The velocity
+    # is an exponential average of raw gradients, so an unscaled w+gamma*vel
+    # probe point sits O(|grad|) away from w and destabilizes the step.
+    look = gamma * eta
+    g_a, g_b, g_c = _slice_gradients(
+        slice_ij,
+        a + look * vel_a,
+        b + look * vel_b,
+        c_row + look * vel_c_row if update_c else c_row,
+        update_c,
+    )
 
-    def noise(shape):
-        if kind is OptimizerKind.SGD or sigma == 0.0:
-            return 0.0
-        return state.rng.normal(0.0, sigma, size=shape)
+    def step(w, vel, g):
+        vel = gamma * vel + (1.0 - gamma) * g
+        noise = 0.0 if sigma == 0.0 else state.rng.normal(0.0, sigma, w.shape)
+        return w + eta * vel + noise - beta * np.sign(w), vel
 
-    if kind is OptimizerKind.NESGD:
-        gamma = state.friction
-        vel_a = gamma * vel_a + (1.0 - gamma) * g_a
-        vel_b = gamma * vel_b + (1.0 - gamma) * g_b
-        a = a + eta * vel_a + noise(a.shape) - state.l1_beta * np.sign(a)
-        b = b + eta * vel_b + noise(b.shape) - state.l1_beta * np.sign(b)
-        if update_c:
-            vel_c_row = gamma * vel_c_row + (1.0 - gamma) * g_c
-            c_row = c_row + eta * vel_c_row + noise(c_row.shape) \
-                - state.l1_beta * np.sign(c_row)
-    else:
-        a = a + eta * g_a + noise(a.shape)
-        b = b + eta * g_b + noise(b.shape)
-        if update_c:
-            c_row = c_row + eta * g_c + noise(c_row.shape)
+    a, vel_a = step(a, vel_a, g_a)
+    b, vel_b = step(b, vel_b, g_b)
+    if update_c:
+        c_row, vel_c_row = step(c_row, vel_c_row, g_c)
     _check_finite(a, b, c_row)
     return (a, b, c_row), (vel_a, vel_b, vel_c_row)
 
@@ -255,8 +189,6 @@ class StreamOptions:
     lr: callable = None
     perturb_sigma: float = 1e-3
     l1_beta: float = 1e-4
-    nag_lookahead: bool = True
-    perturb_decay: bool = True
 
     def make_state(self, dims, rank) -> NesgdState:
         # The pipeline default decays much more gently than the benchmark
@@ -270,7 +202,6 @@ class StreamOptions:
             dims, rank,
             friction=self.friction, lr=lr, perturb_sigma=self.perturb_sigma,
             l1_beta=self.l1_beta, rng_seed=self.seed,
-            nag_lookahead=self.nag_lookahead, perturb_decay=self.perturb_decay,
         )
 
 
@@ -281,7 +212,7 @@ class StreamDecomposition:
     factors: KruskalFactors
     state: NesgdState
     kind: OptimizerKind
-    slices: list  # retained window, one (I, J) array per time step
+    slices: list  # training window, one (I, J) array per time step
 
 
 def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
@@ -312,11 +243,12 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     The new temporal row is the ridge least-squares fit of the slice against
     the current (B(*)A) design, solved from its R x R normal equations
     ((A^T A)*(B^T B) + ridge I) c = diag(A^T X B) without forming the
-    design; A and B then take one stochastic step from the new slice before
-    the row is appended. A slice of the wrong shape or with non-finite
-    entries is rejected before any state changes. A step that diverges
-    raises ``DivergedError`` and leaves the state as it was, the noise
-    generator included.
+    design; A and B then take one stochastic step from the new slice. The
+    row is returned, not stored: ``factors.c``, ``state.vel_c`` and
+    ``slices`` keep the size the training window gave them. A slice of the
+    wrong shape or with non-finite entries is rejected before any state
+    changes. A step that diverges raises ``DivergedError`` and leaves the
+    state as it was, the noise generator included.
     """
     slice_ij = np.asarray(slice_ij, dtype=np.float64)
     f = d.factors
@@ -342,8 +274,5 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
         raise
     state.vel_a, state.vel_b = vel_a, vel_b
     state.step += 1
-    c = np.vstack([f.c, c_new])
-    state.vel_c = np.vstack([state.vel_c, np.zeros(f.rank)])
-    d.factors = KruskalFactors(a, b, c)
-    d.slices.append(slice_ij.copy())
+    d.factors = KruskalFactors(a, b, f.c)
     return d, c_new

@@ -178,7 +178,7 @@ def load_tensor_csv(path: str) -> DenseTensor3:
                 arr[i, j, k] = float(row["value"])
     except OSError as exc:
         raise IoError(f"cannot read tensor from {path}: {exc}") from exc
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise ValidationError(f"malformed tensor file {path}: {exc}") from exc
     if not seen.all():
         raise ValidationError("tensor file is missing cells")

@@ -225,7 +225,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         "missing_bundle", "truncated_bundle", "missing_bundle_key",
         "unknown_update_policy", "missing_eval_verdicts",
-        "unwritable_stream_verdicts",
+        "unwritable_stream_verdicts", "far_window_zero", "short_labels",
+        "negative_label_k", "duplicate_label_k", "missing_label_k",
+        "non_numeric_tensor_value", "non_numeric_dims",
     ])
     def test_exit_code_2(self, tmp_path, case):
         tensor_path = tmp_path / "t.csv"
@@ -234,6 +236,9 @@ class TestMalformedInput:
         run_cli(*train_args(tensor_path, bundle))
         payload = json.loads(bundle.read_text())
         verdicts = tmp_path / "v.csv"
+        labels = tmp_path / "t.labels.csv"
+        label_lines = labels.read_text().splitlines(keepends=True)
+        extra = []
         if case == "missing_bundle":
             bundle.unlink()
         elif case == "truncated_bundle":
@@ -246,10 +251,27 @@ class TestMalformedInput:
             bundle.write_text(json.dumps(payload))
         elif case == "unwritable_stream_verdicts":
             verdicts = tmp_path / "no_such_dir" / "v.csv"
+        elif case == "far_window_zero":
+            extra = ["--far-window", "0"]
+        elif case == "short_labels":  # header plus steps 0..49 of 60
+            labels.write_text("".join(label_lines[:51]))
+        elif case == "negative_label_k":
+            labels.write_text("".join(label_lines[:-1]) + "-1,healthy\n")
+        elif case == "duplicate_label_k":
+            labels.write_text("".join(label_lines[:-1]) + "3,healthy\n")
+        elif case == "missing_label_k":
+            labels.write_text("".join(label_lines[:5] + label_lines[6:]))
+        elif case == "non_numeric_tensor_value":
+            text = tensor_path.read_text()
+            tensor_path.write_text(text.replace("\n0,0,0,", "\n0,0,0,x", 1))
+        elif case == "non_numeric_dims":
+            (tmp_path / "t.dims.json").write_text(
+                '{"I": "six", "J": 5, "K": 60}\n')
         if case == "missing_eval_verdicts":
             argv = ["eval", "--verdicts", str(verdicts),
                     "--labels", str(tmp_path / "t.labels.csv")]
         else:
             argv = ["stream", "--bundle", str(bundle),
-                    "--tensor", str(tensor_path), "--verdicts", str(verdicts)]
+                    "--tensor", str(tensor_path), "--verdicts", str(verdicts),
+                    *extra]
         assert run_cli(*argv) == 2

@@ -1,5 +1,5 @@
-"""ALS and stochastic-optimizer behavior, including a finite-difference
-oracle for the per-mode descent direction."""
+"""Stochastic-optimizer behavior, including a finite-difference oracle
+for the per-mode descent direction."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
-    AlsOptions,
     DenseTensor3,
     DivergedError,
     KruskalFactors,
@@ -17,7 +16,6 @@ from driftwatch import (
     StreamDecomposition,
     StreamOptions,
     ValidationError,
-    cp_als,
     cp_gradient,
     decompose_stream_init,
     init_factors,
@@ -28,7 +26,7 @@ from driftwatch import (
     unfold,
     update_online,
 )
-from driftwatch.decomp import RIDGE
+from driftwatch.decomp import RIDGE, _slice_gradients
 
 RNG = np.random.default_rng(77)
 
@@ -87,46 +85,30 @@ class TestCpGradient:
         with pytest.raises(ShapeMismatchError):
             cp_gradient(np.zeros((3, 7)), f, 1)
 
-
-class TestAls:
-    def test_noiseless_rank1_recovery(self):
-        rng = np.random.default_rng(5)
-        f_true = KruskalFactors(
-            rng.uniform(0.5, 1.5, (6, 1)),
-            rng.uniform(0.5, 1.5, (5, 1)),
-            rng.uniform(0.5, 1.5, (4, 1)),
-        )
-        t = kruskal_reconstruct(f_true)
-        f, trace = cp_als(t, 1, AlsOptions(max_iters=50))
-        assert rmse(t, f) <= 1e-8
-
-    def test_zero_tensor(self):
-        t = DenseTensor3(np.zeros((3, 3, 3)))
-        f, _ = cp_als(t, 1, AlsOptions(max_iters=100))
-        assert rmse(t, f) <= 1e-8
-
-    def test_noiseless_rank2_recovery(self):
-        rng = np.random.default_rng(6)
-        f_true = KruskalFactors(
-            rng.uniform(size=(20, 2)),
-            rng.uniform(size=(8, 2)),
-            rng.uniform(size=(200, 2)),
-        )
-        t = kruskal_reconstruct(f_true)
-        f, _ = cp_als(t, 2)
-        scale = np.sqrt(np.mean(t.data**2))
-        assert rmse(t, f) / scale <= 1e-4
-
-    def test_trace_monotone(self):
-        t = DenseTensor3(RNG.standard_normal((5, 4, 6)))
-        _, trace = cp_als(t, 2, AlsOptions(max_iters=40))
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-10)
-
-    def test_rank_out_of_range(self):
-        t = DenseTensor3(np.zeros((2, 2, 2)))
-        with pytest.raises(ValidationError):
-            cp_als(t, 0)
+    def test_slice_gradients_match_cp_gradient(self):
+        # the per-slice directions the optimizers use: summed over slices
+        # they are the mode-1 and mode-2 directions, and slice k's C row is
+        # row k of the mode-3 direction
+        rng = np.random.default_rng(101)
+        worst = 0.0
+        for _ in range(20):
+            dims = tuple(int(rng.integers(2, hi + 1)) for hi in (6, 5, 4))
+            rank = int(rng.integers(1, 4))
+            f = KruskalFactors(
+                rng.standard_normal((dims[0], rank)),
+                rng.standard_normal((dims[1], rank)),
+                rng.standard_normal((dims[2], rank)),
+            )
+            t = DenseTensor3(rng.standard_normal(dims))
+            parts = [_slice_gradients(t.slice_at(k), f.a, f.b, f.c[k], True)
+                     for k in range(dims[2])]
+            got = (sum(p[0] for p in parts), sum(p[1] for p in parts),
+                   np.array([p[2] for p in parts]))
+            for mode in (1, 2, 3):
+                want = cp_gradient(unfold(t, mode), f, mode)
+                scale = max(np.abs(want).max(), 1.0)
+                worst = max(worst, np.abs(got[mode - 1] - want).max() / scale)
+        assert worst <= 1e-12
 
 
 class TestSgdSweep:
@@ -161,7 +143,7 @@ class TestSgdSweep:
         f_sgd = self.f
         st_sgd = self._state(friction=0.0, **kw)
         f_ne = self.f
-        st_ne = self._state(friction=0.9, nag_lookahead=False, **kw)
+        st_ne = self._state(friction=0.9, **kw)
         for k in (2, 2):
             f_sgd, st_sgd = sgd_sweep(self.t, f_sgd, st_sgd,
                                       OptimizerKind.SGD, k)
@@ -270,7 +252,12 @@ class TestStream:
         np.testing.assert_allclose(c_new, c_star, atol=1e-6)
         # residual is ~0 so the A step is driven by noise/shrinkage only
         assert np.abs(d.factors.a - a_before).max() < 1e-3
-        assert d.factors.c.shape[0] == t.dims[2] + 1
+        # the stream state keeps the window's size however long it runs
+        for _ in range(50):
+            d, _ = update_online(d, slice_ij)
+        assert d.factors.c.shape == (t.dims[2], 2)
+        assert d.state.vel_c.shape == (t.dims[2], 2)
+        assert len(d.slices) == t.dims[2]
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     @pytest.mark.parametrize("shape", [(7, 3), (3, 9)])
@@ -310,9 +297,12 @@ class TestStream:
         d = decompose_stream_init(window, 2, OptimizerKind.NESGD,
                                   self.exact_fit_options(epochs=300))
         base = rmse(window, d.factors)
+        c_rows = [d.factors.c]
         for k in range(60, 140):
-            d, _ = update_online(d, full.data[:, :, k])
-        final = rmse(DenseTensor3(np.stack(d.slices, axis=2)), d.factors)
+            d, c_new = update_online(d, full.data[:, :, k])
+            c_rows.append(c_new[None, :])
+        final = rmse(full, KruskalFactors(d.factors.a, d.factors.b,
+                                          np.vstack(c_rows)))
         assert final <= max(1.5 * base, 1e-3)
 
     def test_update_online_shape_check(self):

@@ -11,7 +11,8 @@ The two runs are compared on:
 
 - the action of every event;
 - the ``(case_id, index)`` sequence of insert migrations;
-- the sha256 of the set-up bundle;
+- the sha256 of the set-up bundle; when it differs, the JSON paths
+  (``state.vel_a``, ...) that were added, removed or changed are printed;
 - ``final_model_check`` holding on both final models;
 - the largest |delta g_raw| over all events, which may be at most
   ``G_RAW_TOL``.
@@ -33,6 +34,28 @@ G_RAW_TOL = 1e-12
 CHILD_TIMEOUT_S = 1800
 # as streambench/run.py: one BLAS thread, set before numpy is imported
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def json_leaves(value, path=""):
+    """{dotted path: sha256 of the JSON text} for every non-object leaf."""
+    if not isinstance(value, dict):
+        text = json.dumps(value, sort_keys=True)
+        return {path: hashlib.sha256(text.encode()).hexdigest()}
+    leaves = {}
+    for key, item in value.items():
+        leaves.update(json_leaves(item, f"{path}.{key}" if path else key))
+    return leaves
+
+
+def bundle_diff(parent, change):
+    """Lines naming the bundle paths added, removed or changed."""
+    old, new = parent["bundle_leaves"], change["bundle_leaves"]
+    groups = (("added", sorted(new.keys() - old.keys())),
+              ("removed", sorted(old.keys() - new.keys())),
+              ("changed", sorted(k for k in old.keys() & new.keys()
+                                 if old[k] != new[k])))
+    return [f"    bundle {name}: {', '.join(paths)}"
+            for name, paths in groups if paths]
 
 
 def run_child(checkout, workload, seed):
@@ -80,6 +103,7 @@ def child(checkout, workload, seed):
         bundle = Path(tmp) / "bundle.json"
         _, state = pipeline.setup(window, str(bundle))
         digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
+        leaves = json_leaves(json.loads(bundle.read_text()))
     advisor.process_event = recording  # stream_pass looks it up per call
     result = pipeline.stream_pass(state, events)
     advisor.process_event = process_event
@@ -90,6 +114,7 @@ def child(checkout, workload, seed):
         "migrations": [[ev["case_id"], ev["index"]]
                        for ev in result.state.migration_log],
         "bundle_sha256": digest,
+        "bundle_leaves": leaves,
         "final_model_check": ok,
         "final_model_diff": diff,
         "g_raw": g_raw,
@@ -145,6 +170,10 @@ def main(argv):
                   f"migrations {len(change['migrations'])}  "
                   f"A3 diff {parent['final_model_diff']:.1e}/"
                   f"{change['final_model_diff']:.1e}", flush=True)
+            if "bundle_sha256" in bad:
+                print("\n".join(bundle_diff(parent, change)
+                                or ["    bundle: same JSON, other bytes"]),
+                      flush=True)
     print("behaviour matches" if not mismatches
           else f"{mismatches} workload/seed runs differ")
     return 1 if mismatches else 0
