@@ -367,6 +367,13 @@ def cmd_stream(args):
         raise ShapeMismatchError("bundle factors do not match tensor dims")
     if args.policy:
         config.update_policy = UpdatePolicy(args.policy)
+    if args.far_window < 1:
+        raise ValidationError(f"far window {args.far_window} must be >= 1")
+    labels = None
+    try:
+        labels = read_labels(labels_path(args.tensor), k_n)
+    except IoError:
+        print("no labels file; skipping metrics", file=sys.stderr)
     state = PipelineState(decomp, model, snapshot, config)
     started = time.monotonic()
     rows = []
@@ -389,13 +396,8 @@ def cmd_stream(args):
             for ev in state.migration_log:
                 fh.write(json.dumps(ev, sort_keys=True))
                 fh.write("\n")
-    metrics = None
-    try:
-        labels = read_labels(labels_path(args.tensor), k_n)
+    if labels is not None and args.metrics:
         metrics = compute_metrics(rows, labels, args.far_window)
-    except IoError:
-        print("no labels file; skipping metrics", file=sys.stderr)
-    if metrics is not None and args.metrics:
         with _writing(args.metrics, "metrics") as fh:
             json.dump(metrics, fh, sort_keys=True)
             fh.write("\n")

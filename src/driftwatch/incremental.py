@@ -18,6 +18,9 @@ the quantity that drives the walk changes between its two legs:
 Internally the bias is carried as b = -rho so the bordered margin system
 Q = [[0, 1^T], [1, K_SS]] stays symmetric; sensitivities are reported in
 b-space (beta[0] is db per unit step, so d rho = -beta[0] * step).
+
+An insert evaluates kernel columns only for S, E, the candidate and the
+points recruited into S, on first use, never the whole (n+1)^2 Gram.
 """
 
 import logging
@@ -160,8 +163,12 @@ class _Working:
         self.alpha = np.concatenate([m.alpha, [0.0]])
         self.rho = m.rho
         self.c = m.c_bound  # current box bound
-        self.kmat = kernel_matrix(m.kernel, self.x)
+        self.kernel = m.kernel
         self.cand = self.x.shape[0] - 1
+        # only ``filled`` columns hold values; nonzero alphas, S, candidate
+        self.kmat = np.empty((self.cand + 1, self.cand + 1), order="F")
+        self.filled = np.zeros(self.cand + 1, dtype=bool)
+        self.fill(np.append(np.flatnonzero(m.alpha), self.cand))
         s_idx, e_idx, r_idx = partition(self.g()[: self.cand], m.alpha,
                                         m.c_bound)
         self.e_set = e_idx
@@ -177,7 +184,16 @@ class _Working:
         return g if i is None else g[i]
 
     def f_vals(self):
-        return self.kmat @ self.alpha
+        nz = np.flatnonzero(self.alpha)
+        return self.kmat[:, nz] @ self.alpha[nz]
+
+    def fill(self, cols):
+        """Compute the kernel columns ``cols`` that are not filled yet."""
+        cols = np.asarray(cols, dtype=int)[~self.filled[cols]]
+        if cols.size:
+            self.kmat[:, cols] = kernel_matrix(self.kernel, self.x,
+                                               self.x[cols])
+            self.filled[cols] = True
 
     def move(self, i, dst):
         """Move index i into set ``dst`` ("S", "E" or "Rv"); a point leaving
@@ -187,6 +203,7 @@ class _Working:
         else:
             (self.e_set if i in self.e_set else self.r_set).remove(i)
         if dst == "S":
+            self.fill([i])
             self.sys = _expand(self.sys, self.kmat, i)
         else:
             self.alpha[i] = self.c if dst == "E" else 0.0
@@ -226,8 +243,8 @@ def _breakpoints(w: _Working, g, beta, gamma, dc, growing, c_new):
     s = np.asarray(w.sys.s_order, dtype=int)
     b = beta[1:]
     e = np.asarray(w.e_set, dtype=int)
-    r = np.asarray([i for i in w.r_set if not (growing and i == w.cand)],
-                   dtype=int)
+    r = np.asarray(w.r_set, dtype=int)
+    r = r[r != w.cand] if growing else r
     up, down = b - dc > 0, b < 0
     e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
     parts = [

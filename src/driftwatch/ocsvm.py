@@ -111,7 +111,7 @@ class OcsvmModel:
         return kmat @ self.alpha[sv] - self.rho
 
     def training_decision_values(self) -> np.ndarray:
-        return self.gram() @ self.alpha - self.rho
+        return self.decision_values(self.x)
 
     def to_dict(self) -> dict:
         """JSON-ready payload with every float stored as exact hex."""

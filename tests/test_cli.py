@@ -131,6 +131,20 @@ class TestStreamAndEval:
         assert m["far_window"] == 10
         assert m["anomalous_events"] == 3
 
+    def test_missing_labels_skip_only_metrics(self, tmp_path):
+        tensor_path, bundle_path = self.setup_run(tmp_path)
+        (tmp_path / "t.labels.csv").unlink()
+        verdicts = tmp_path / "verdicts.csv"
+        metrics = tmp_path / "metrics.json"
+        code = run_cli("stream", "--bundle", str(bundle_path),
+                       "--tensor", str(tensor_path),
+                       "--verdicts", str(verdicts),
+                       "--metrics", str(metrics))
+        assert code == 0
+        with open(verdicts, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 30
+        assert not metrics.exists()
+
     def test_stream_is_deterministic(self, tmp_path):
         tensor_path, bundle_path = self.setup_run(tmp_path)
         v1, v2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
@@ -267,11 +281,15 @@ class TestMalformedInput:
         elif case == "non_numeric_dims":
             (tmp_path / "t.dims.json").write_text(
                 '{"I": "six", "J": 5, "K": 60}\n')
+        migrations = tmp_path / "m.jsonl"
         if case == "missing_eval_verdicts":
             argv = ["eval", "--verdicts", str(verdicts),
                     "--labels", str(tmp_path / "t.labels.csv")]
         else:
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),
-                    *extra]
+                    "--migrations", str(migrations), *extra]
         assert run_cli(*argv) == 2
+        # bad input is rejected before the stream runs: no partial outputs
+        assert not verdicts.exists()
+        assert not migrations.exists()

@@ -15,6 +15,7 @@ from driftwatch import (
     median_pairwise_sigma,
     train_batch,
 )
+from driftwatch import incremental
 from driftwatch.incremental import _expand, _rates, _shrink
 
 
@@ -230,6 +231,71 @@ class TestAddSample:
             m, _ = add_sample(m, x[k])
         batch = train_batch(x, 0.3, kernel)
         probes = self.probe_grid()
+        np.testing.assert_allclose(
+            m.decision_values(probes), batch.decision_values(probes),
+            atol=1e-5,
+        )
+
+
+class TestKernelColumnsOnDemand:
+    """An insert computes kernel columns only for the points its walk
+    reads: the nonzero alphas, the candidate and the recruits into S."""
+
+    def test_kernel_budget(self, monkeypatch):
+        x, m = make_model(n=240, seed=19, nu=0.05)
+        s_idx, e_idx, _ = kkt_partition(m)
+        entries = []
+
+        def counting(*args):
+            out = kernel_matrix(*args)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(incremental, "kernel_matrix", counting)
+        _, events = add_sample(m, np.array([2.5, 2.5]))
+        assert events, "insertion produced no migration events"
+        budget = (m.n + 1) * (len(s_idx) + len(e_idx) + len(events) + 2)
+        assert sum(entries) <= budget
+
+    def drifting_stream(self):
+        """A model on 40 points and 30 drifted points to insert in turn."""
+        rng = np.random.default_rng(20)
+        x = np.vstack([rng.standard_normal((40, 2)),
+                       rng.standard_normal((30, 2)) * 1.3 + 0.8])
+        kernel = KernelSpec("rbf", median_pairwise_sigma(x[:40]))
+        return x, kernel, train_batch(x[:40], 0.2, kernel)
+
+    def test_read_columns_are_filled_and_exact(self):
+        x, _, m = self.drifting_stream()
+        checked = []
+
+        def check(w):
+            needed = set(w.s_set) | set(w.e_set) | {w.cand}
+            assert all(w.filled[i] for i in needed)
+            cols = np.flatnonzero(w.filled)
+            np.testing.assert_allclose(
+                w.kmat[:, cols], kernel_matrix(w.kernel, w.x)[:, cols],
+                rtol=0, atol=1e-12)
+            checked.append(len(cols) < len(w.x))
+
+        for x_c in x[40:]:
+            m, _ = add_sample(m, x_c, on_event=check)
+        assert checked, "insertions produced no migration events"
+        assert all(checked)  # never the whole Gram matrix
+
+    def test_unfilled_columns_are_never_read(self, monkeypatch):
+        # poison every fresh buffer with NaN: a read of a column that was
+        # never filled spreads NaN into the model and fails the checks
+        x, kernel, m = self.drifting_stream()
+        with monkeypatch.context() as mp:
+            mp.setattr(incremental.np, "empty",
+                       lambda shape, dtype=float, order="C":
+                       np.full(shape, np.nan, dtype=dtype, order=order))
+            for x_c in x[40:]:
+                m, _ = add_sample(m, x_c)
+        kkt_partition(m)
+        batch = train_batch(x, 0.2, kernel)
+        probes = np.random.default_rng(21).standard_normal((25, 2))
         np.testing.assert_allclose(
             m.decision_values(probes), batch.decision_values(probes),
             atol=1e-5,

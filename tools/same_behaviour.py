@@ -14,6 +14,8 @@ The two runs are compared on:
 - the sha256 of the set-up bundle; when it differs, the JSON paths
   (``state.vel_a``, ...) that were added, removed or changed are printed;
 - ``final_model_check`` holding on both final models;
+- the final models themselves: the same training size ``n``, and the
+  largest |delta alpha| and |delta rho| at most ``G_RAW_TOL``;
 - the largest |delta g_raw| over all events, which may be at most
   ``G_RAW_TOL``.
 
@@ -107,7 +109,8 @@ def child(checkout, workload, seed):
     advisor.process_event = recording  # stream_pass looks it up per call
     result = pipeline.stream_pass(state, events)
     advisor.process_event = process_event
-    ok, diff, _, _ = pipeline.final_model_check(result.state.model)
+    final = result.state.model
+    ok, diff, _, _ = pipeline.final_model_check(final)
     print(json.dumps({
         "actions": result.actions,
         "failures": len(result.failures),
@@ -117,26 +120,41 @@ def child(checkout, workload, seed):
         "bundle_leaves": leaves,
         "final_model_check": ok,
         "final_model_diff": diff,
+        "final_model": {"n": final.n, "alpha": final.alpha.tolist(),
+                        "rho": final.rho},
         "g_raw": g_raw,
     }))
 
 
+def model_diff(old, new):
+    """Largest |delta alpha| or |delta rho| of two final models; inf when
+    their training sizes differ."""
+    if old["n"] != new["n"]:
+        return float("inf")
+    return max(abs(old["rho"] - new["rho"]),
+               *(abs(p - c) for p, c in zip(old["alpha"], new["alpha"])))
+
+
 def compare(parent, change):
-    """(mismatch names, max |delta g_raw|) between two child records."""
+    """(mismatch names, max |delta g_raw|, final model diff) between two
+    child records."""
     bad = [key for key in ("actions", "migrations", "bundle_sha256")
            if parent[key] != change[key]]
     if parent["failures"] or change["failures"]:
         bad.append("failures")
     if not (parent["final_model_check"] and change["final_model_check"]):
         bad.append("final_model_check")
+    dm = model_diff(parent["final_model"], change["final_model"])
+    if not dm <= G_RAW_TOL:
+        bad.append("final_model")
     if len(parent["g_raw"]) != len(change["g_raw"]):
         bad.append("g_raw")
-        return bad, float("inf")
+        return bad, float("inf"), dm
     dg = max((abs(p - c) for p, c in zip(parent["g_raw"], change["g_raw"])),
              default=0.0)
     if not dg <= G_RAW_TOL:
         bad.append("g_raw")
-    return bad, dg
+    return bad, dg, dm
 
 
 def main(argv):
@@ -161,12 +179,13 @@ def main(argv):
         for seed in SEEDS:
             parent = run_child(parent_dir, workload, seed)
             change = run_child(change_dir, workload, seed)
-            bad, dg = compare(parent, change)
+            bad, dg, dm = compare(parent, change)
             mismatches += bool(bad)
             inserts = change["actions"].count("update_model")
             print(f"{workload:16s} seed {seed}: "
                   f"{'MISMATCH ' + ','.join(bad) if bad else 'match':28s} "
-                  f"max|dg_raw| {dg:.1e}  inserts {inserts}  "
+                  f"max|dg_raw| {dg:.1e}  max|dmodel| {dm:.1e}  "
+                  f"inserts {inserts}  "
                   f"migrations {len(change['migrations'])}  "
                   f"A3 diff {parent['final_model_diff']:.1e}/"
                   f"{change['final_model_diff']:.1e}", flush=True)
