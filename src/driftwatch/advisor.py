@@ -5,6 +5,7 @@ the change statistic of the location factor says most locations moved
 together, and as an anomaly when only a few did.
 """
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -240,10 +241,10 @@ def calibrate_gamma_change(decomp: StreamDecomposition, k_neighbors: int,
     times the median knn score, a fixed fraction of the inter-location
     distance scale.
     """
-    import copy
-
     replay = min(replay, len(decomp.slices))
-    probe = copy.deepcopy(decomp)
+    # the factors are immutable; only the optimizer state is stepped in place
+    probe = StreamDecomposition(decomp.factors, copy.deepcopy(decomp.state),
+                                decomp.kind, [])
     changes = []
     base = knn_score(probe.factors.b, k_neighbors)
     prev = base

@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import DivergedError, ShapeMismatchError, ValidationError
 # khatri_rao is not called here; the benchmark tracer wraps decomp.khatri_rao
-from .tensor import DenseTensor3, KruskalFactors, khatri_rao, mode_design, rmse
+from .tensor import DenseTensor3, KruskalFactors, khatri_rao, mode_design
 
 OVERFLOW_LIMIT = 1e12
 RIDGE = 1e-10
+EPS = np.finfo(np.float64).eps
 
 
 def default_lr(t: int) -> float:
@@ -215,26 +216,58 @@ class StreamDecomposition:
     slices: list  # training window, one (I, J) array per time step
 
 
+def _window_rmse(window, x_sq, a, b, c):
+    """RMSE of the CP model (A, B, C) against a (K, I, J) window.
+
+    Uses ||X - M||^2 = ||X||^2 - 2<X, M> + ||M||^2 with ``x_sq`` = ||X||^2,
+    <X, M> = sum(C * sum_i A * (X_k B)) and ||M||^2 = sum((A^T A) * (B^T B)
+    * (C^T C)), so the model tensor is never built. A difference within
+    the rounding of a sum of I*J*K terms, sqrt(I*J*K) * eps * (||X||^2 +
+    ||M||^2), cannot be told from 0 and reads as 0, never as NaN.
+    """
+    k_n, i_n, j_n = window.shape
+    xb = (window.reshape(-1, j_n) @ b).reshape(k_n, i_n, -1)
+    inner = np.sum(c * np.sum(a * xb, axis=1))
+    m_sq = np.sum((a.T @ a) * (b.T @ b) * (c.T @ c))
+    err = x_sq - 2.0 * inner + m_sq
+    if err <= np.sqrt(window.size) * EPS * (x_sq + m_sq):
+        return 0.0
+    return float(np.sqrt(err / window.size))
+
+
 def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
                           opts: StreamOptions = None) -> StreamDecomposition:
-    """Fit the training window by epochs of shuffled single-slice steps."""
+    """Fit the training window by epochs of shuffled single-slice steps.
+
+    Each step is the ``sgd_sweep`` step on a view of one contiguous (K, I, J)
+    copy of the window. The fit stops after an epoch that moved the RMSE by
+    less than ``opts.tol``. The retained ``slices`` are read-only views of
+    that copy.
+    """
     opts = opts or StreamOptions()
     k_n = t0.dims[2]
+    window = np.ascontiguousarray(np.moveaxis(t0.data, 2, 0))
+    window.setflags(write=False)
+    x_sq = np.vdot(window, window)
     f = init_factors(t0.dims, rank, opts.seed)
+    a, b, c = f.a, f.b, f.c.copy()
     state = opts.make_state(t0.dims, rank)
+    vel_c = state.vel_c
     shuffle_rng = np.random.default_rng(opts.seed + 1)
-    prev_rmse = rmse(t0, f)
+    prev_rmse = _window_rmse(window, x_sq, a, b, c)
     for _ in range(opts.epochs):
-        order = shuffle_rng.permutation(k_n)
-        for k in order:
-            f, state = sgd_sweep(t0, f, state, kind, int(k))
-        cur = rmse(t0, f)
+        for k in shuffle_rng.permutation(k_n):
+            (a, b, c[k]), (state.vel_a, state.vel_b, vel_c[k]) = _apply_step(
+                a, b, c[k], state.vel_a, state.vel_b, vel_c[k], window[k],
+                state, kind,
+            )
+            state.step += 1
+        cur = _window_rmse(window, x_sq, a, b, c)
         if abs(prev_rmse - cur) < opts.tol:
-            prev_rmse = cur
             break
         prev_rmse = cur
-    slices = [t0.slice_at(k) for k in range(k_n)]
-    return StreamDecomposition(f, state, kind, slices)
+    return StreamDecomposition(KruskalFactors(a, b, c), state, kind,
+                               list(window))
 
 
 def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
@@ -274,5 +307,5 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
         raise
     state.vel_a, state.vel_b = vel_a, vel_b
     state.step += 1
-    d.factors = KruskalFactors(a, b, f.c)
+    d.factors = KruskalFactors.from_checked(a, b, f.c)
     return d, c_new

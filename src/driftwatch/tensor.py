@@ -68,6 +68,16 @@ class KruskalFactors:
         for m in mats:
             m.setflags(write=False)
 
+    @classmethod
+    def from_checked(cls, a, b, c):
+        """Factors from float64 matrices already known to be finite and of
+        one column count: the arrays are frozen as they are, not re-scanned."""
+        f = object.__new__(cls)
+        for name, m in (("a", a), ("b", b), ("c", c)):
+            m.setflags(write=False)
+            object.__setattr__(f, name, m)
+        return f
+
     @property
     def rank(self):
         return self.a.shape[1]

@@ -33,6 +33,7 @@ from driftwatch import (
     median_pairwise_sigma,
     process_event,
     train_batch,
+    update_online,
 )
 from driftwatch.decomp import KruskalFactors
 
@@ -358,3 +359,29 @@ class TestCalibration:
         before = copy.deepcopy(state.decomp.factors.b)
         calibrate_gamma_change(state.decomp, 2)
         np.testing.assert_array_equal(state.decomp.factors.b, before)
+
+    def test_leaves_optimizer_state_untouched(self):
+        state, _ = small_pipeline(UpdatePolicy.NONE)
+        before = copy.deepcopy(state.decomp.state)
+        calibrate_gamma_change(state.decomp, 2)
+        after = state.decomp.state
+        assert after.step == before.step
+        assert after.rng.bit_generator.state == before.rng.bit_generator.state
+        for name in ("vel_a", "vel_b", "vel_c"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
+
+    def test_matches_replay_on_a_full_copy(self):
+        # oracle: the last 50 window slices replayed on a deep copy of the
+        # whole decomposition, slices included
+        state, _ = small_pipeline(UpdatePolicy.NONE)
+        probe = copy.deepcopy(state.decomp)
+        base = prev = knn_score(probe.factors.b, 2)
+        changes = []
+        for slice_ij in probe.slices[-50:]:
+            update_online(probe, slice_ij)
+            cur = knn_score(probe.factors.b, 2)
+            changes.append(np.abs(cur - prev))
+            prev = cur
+        want = max(3.0 * float(np.median(np.concatenate(changes))),
+                   0.05 * float(np.median(base)), 1e-9)
+        assert calibrate_gamma_change(state.decomp, 2) == want

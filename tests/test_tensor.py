@@ -52,6 +52,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.data[0, 0, 0] = 1.0
 
+    def test_from_checked_freezes_without_copying(self):
+        mats = [np.ones((2, 2)), np.ones((3, 2)), np.ones((4, 2))]
+        f = KruskalFactors.from_checked(*mats)
+        assert f.a is mats[0] and f.b is mats[1] and f.c is mats[2]
+        assert f.dims == (2, 3, 4) and f.rank == 2
+        with pytest.raises(ValueError):
+            f.b[0, 0] = 2.0
+
 
 class TestUnfold:
     def test_mode1_example(self):
