@@ -6,32 +6,24 @@ from .advisor import (
     LocationSnapshot,
     PipelineState,
     UpdatePolicy,
-    Verdict,
-    advised_decision,
-    baseline_threshold_policy,
     calibrate_gamma_change,
     environmental_probability,
     knn_score,
-    knn_unit_vectors,
-    mean_abs_change,
     process_event,
 )
 from .decomp import (
+    LrSchedule,
     NesgdState,
     OptimizerKind,
     StreamDecomposition,
     StreamOptions,
-    cp_gradient,
     decompose_stream_init,
-    default_lr,
     init_factors,
-    sgd_sweep,
     update_online,
 )
 from .errors import (
     BadModeError,
     DivergedError,
-    DriftwatchError,
     EmptyStreamError,
     ImmobileError,
     IoError,
@@ -42,18 +34,11 @@ from .errors import (
     TooFewLocationsError,
     ValidationError,
 )
-from .incremental import (
-    BorderedSystem,
-    MigrationEvent,
-    add_sample,
-    build_system,
-)
+from .incremental import add_sample
 from .ocsvm import (
     KernelSpec,
     OcsvmModel,
-    classify,
     decision_value,
-    kernel_eval,
     kernel_matrix,
     kkt_partition,
     median_pairwise_sigma,
@@ -70,7 +55,6 @@ from .tensor import (
     rmse,
     save_factor_csv,
     save_tensor_csv,
-    unfold,
 )
 
 __version__ = "0.1.0"

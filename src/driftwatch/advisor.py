@@ -24,8 +24,6 @@ from .ocsvm import OcsvmModel, decision_value, train_batch
 
 log = logging.getLogger(__name__)
 
-COINCIDENT_TOL = 1e-12
-
 
 class UpdatePolicy(Enum):
     TENSOR_ADVISED = "tensor_advised"
@@ -103,28 +101,6 @@ def knn_score(b, k: int) -> np.ndarray:
     return nearest.mean(axis=1)
 
 
-def knn_unit_vectors(b, j: int, k: int):
-    """Unit direction vectors from row j toward its k nearest rows.
-
-    Coincident rows contribute a zero vector; the degeneracy is logged.
-    """
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    _check_k(b, k)
-    dist = _pairwise_distances(b)[j].copy()
-    dist[j] = np.inf
-    order = np.argsort(dist, kind="stable")[:k]
-    out = []
-    for nb in order:
-        diff = b[j] - b[nb]
-        norm = np.linalg.norm(diff)
-        if norm < COINCIDENT_TOL:
-            log.warning("coincident location rows %d and %d", j, int(nb))
-            out.append(np.zeros_like(diff))
-        else:
-            out.append(diff / norm)
-    return out
-
-
 def environmental_probability(prev: LocationSnapshot, curr: LocationSnapshot,
                               cfg: AdvisorConfig) -> float:
     """Fraction of locations whose knn score moved beyond gamma_change."""
@@ -133,11 +109,6 @@ def environmental_probability(prev: LocationSnapshot, curr: LocationSnapshot,
         raise ShapeMismatchError("snapshots disagree on J or R")
     change = np.abs(curr.knn_scores - prev.knn_scores)
     return float(np.mean(change > cfg.gamma_change))
-
-
-def mean_abs_change(prev: LocationSnapshot, curr: LocationSnapshot) -> float:
-    """Diagnostic: raw mean absolute knn-score change across locations."""
-    return float(np.mean(np.abs(curr.knn_scores - prev.knn_scores)))
 
 
 def advised_decision(g_raw: float, p_env: float, cfg: AdvisorConfig) -> float:

@@ -16,13 +16,16 @@ from contextlib import contextmanager
 from . import advisor, synth
 from .advisor import Action, AdvisorConfig, PipelineState, UpdatePolicy
 from .decomp import (
+    LrSchedule,
     NesgdState,
     OptimizerKind,
     StreamDecomposition,
     StreamOptions,
+    _step_slices,
+    _window_copy,
+    _window_rmse,
     decompose_stream_init,
     init_factors,
-    sgd_sweep,
 )
 from .errors import (
     DivergedError,
@@ -44,10 +47,7 @@ from .tensor import (
     to_hex,
 )
 
-
-def make_lr(a: float, b: float):
-    """Schedule eta(t) = a / (1 + b*t); (1, 1) is the benchmark 1/(1+t)."""
-    return lambda t: a / (1.0 + b * t)
+make_lr = LrSchedule  # streambench/pipeline.py calls it by this name
 
 
 @contextmanager
@@ -166,7 +166,7 @@ def load_bundle(path, window_slices):
             vel_b=from_hex(sp["vel_b"]),
             vel_c=from_hex(sp["vel_c"]),
             friction=from_hex(sp["friction"]),
-            lr=make_lr(from_hex(sp["lr"]["a"]), from_hex(sp["lr"]["b"])),
+            lr=LrSchedule(from_hex(sp["lr"]["a"]), from_hex(sp["lr"]["b"])),
             perturb_sigma=from_hex(sp["perturb_sigma"]),
             l1_beta=from_hex(sp["l1_beta"]),
             step=sp["step"],
@@ -274,25 +274,31 @@ def cmd_synth(args):
     return 0
 
 
-def run_benchmark(tensor: DenseTensor3, rank, kinds, seed, lr_params,
-                  rmse_every=10, friction=0.9, perturb_sigma=1e-3,
-                  l1_beta=1e-4):
-    """Single pass over the time mode per optimizer; shared initialization."""
-    traces = {}
+def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
+                  rmse_every=10):
+    """{kind: [(step, rmse), ...]} from one in-order pass over the time mode
+    per optimizer, each from ``init_factors(dims, rank, opts.seed)``.
+
+    The steps are the window fit's, and the RMSE is taken every
+    ``rmse_every`` steps and after the last. A pass that diverges keeps the
+    points recorded before the step that diverged.
+    """
+    if rmse_every < 1:
+        raise ValidationError(f"rmse_every {rmse_every} must be >= 1")
+    window, x_sq = _window_copy(tensor)
     k_n = tensor.dims[2]
+    traces = {}
     for kind in kinds:
-        f = init_factors(tensor.dims, rank, seed)
-        state = NesgdState.zeros(
-            tensor.dims, rank, friction=friction,
-            lr=make_lr(*lr_params), perturb_sigma=perturb_sigma,
-            l1_beta=l1_beta, rng_seed=seed,
-        )
-        trace = [(0, rmse(tensor, f))]
+        f = init_factors(tensor.dims, rank, opts.seed)
+        a, b, c = f.a, f.b, f.c.copy()
+        state = opts.make_state(tensor.dims, rank)
+        trace = [(0, _window_rmse(window, x_sq, a, b, c))]
         try:
-            for k in range(k_n):
-                f, state = sgd_sweep(tensor, f, state, kind, k)
-                if (k + 1) % rmse_every == 0 or k == k_n - 1:
-                    trace.append((k + 1, rmse(tensor, f)))
+            for start in range(0, k_n, rmse_every):
+                stop = min(start + rmse_every, k_n)
+                a, b = _step_slices(window, a, b, c, state, kind,
+                                    range(start, stop))
+                trace.append((stop, _window_rmse(window, x_sq, a, b, c)))
         except DivergedError:
             pass  # truncated trace is the recorded outcome
         traces[kind] = trace
@@ -302,11 +308,11 @@ def run_benchmark(tensor: DenseTensor3, rank, kinds, seed, lr_params,
 def cmd_bench(args):
     tensor = load_tensor_csv(args.tensor)
     kinds = [OptimizerKind(v) for v in args.optimizers.split(",")]
-    traces = run_benchmark(
-        tensor, args.rank, kinds, args.seed, (args.lr_a, args.lr_b),
-        rmse_every=args.rmse_every, perturb_sigma=args.perturb_sigma,
-        l1_beta=args.l1_beta, friction=args.friction,
-    )
+    opts = StreamOptions(seed=args.seed, friction=args.friction,
+                         lr=LrSchedule(args.lr_a, args.lr_b),
+                         perturb_sigma=args.perturb_sigma,
+                         l1_beta=args.l1_beta)
+    traces = run_benchmark(tensor, args.rank, kinds, opts, args.rmse_every)
     with _writing(args.out, "traces") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "rmse", "optimizer"])
@@ -322,13 +328,9 @@ def cmd_train(args):
     if args.window > k_n:
         raise ValidationError(f"window {args.window} exceeds K = {k_n}")
     window = DenseTensor3(tensor.data[:, :, : args.window])
-    lr_a = args.lr_a
-    if lr_a <= 0:  # auto: stable default for the slice size
-        lr_a = 4.0 / (tensor.dims[0] * tensor.dims[1])
-    opts = StreamOptions(
-        epochs=args.epochs, seed=args.seed,
-        lr=make_lr(lr_a, args.lr_b),
-    )
+    lr = LrSchedule.for_slices(tensor.dims, args.lr_b) if args.lr_a <= 0 \
+        else LrSchedule(args.lr_a, args.lr_b)
+    opts = StreamOptions(epochs=args.epochs, seed=args.seed, lr=lr)
     decomp = decompose_stream_init(window, args.rank,
                                    OptimizerKind(args.optimizer), opts)
     c_rows = decomp.factors.c
@@ -348,7 +350,7 @@ def cmd_train(args):
     meta = {"tensor": args.tensor, "train_rmse": repr(rmse(window,
                                                            decomp.factors))}
     save_bundle(args.out, args.window, decomp, model, snapshot, config,
-                (lr_a, args.lr_b), meta)
+                (lr.a, lr.b), meta)
     if args.factors_prefix:
         for name, mat in (("a", decomp.factors.a), ("b", decomp.factors.b),
                           ("c", decomp.factors.c)):
@@ -452,9 +454,10 @@ def build_parser():
     b.add_argument("--lr-a", type=float, default=1.0)
     b.add_argument("--lr-b", type=float, default=1.0)
     b.add_argument("--rmse-every", type=int, default=10)
-    b.add_argument("--friction", type=float, default=0.9)
-    b.add_argument("--perturb-sigma", type=float, default=1e-3)
-    b.add_argument("--l1-beta", type=float, default=1e-4)
+    b.add_argument("--friction", type=float, default=StreamOptions.friction)
+    b.add_argument("--perturb-sigma", type=float,
+                   default=StreamOptions.perturb_sigma)
+    b.add_argument("--l1-beta", type=float, default=StreamOptions.l1_beta)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 

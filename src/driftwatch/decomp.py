@@ -21,9 +21,27 @@ RIDGE = 1e-10
 EPS = np.finfo(np.float64).eps
 
 
-def default_lr(t: int) -> float:
-    """Benchmark learning-rate schedule eta(t) = 1/(1+t)."""
-    return 1.0 / (1.0 + t)
+@dataclass(frozen=True)
+class LrSchedule:
+    """Learning-rate schedule eta(t) = a / (1 + b*t); (1, 1) is 1/(1+t)."""
+
+    a: float
+    b: float
+
+    def __call__(self, t) -> float:
+        return self.a / (1.0 + self.b * t)
+
+    @classmethod
+    def for_slices(cls, dims, b=1e-4):
+        """The pipeline default: a = 4/(I*J), decaying by ``b`` per step.
+
+        It decays much more gently than 1/(1+t): online adaptation needs a
+        step size that does not vanish within the training window. The base
+        rate scales with the slice size because the temporal-row design has
+        I*J rows, which caps the stable step at O(1/(I*J)).
+        """
+        i_n, j_n = dims[:2]
+        return cls(4.0 / (i_n * j_n), b)
 
 
 class OptimizerKind(Enum):
@@ -40,7 +58,7 @@ class NesgdState:
     vel_b: np.ndarray
     vel_c: np.ndarray
     friction: float = 0.9
-    lr: callable = default_lr
+    lr: LrSchedule = LrSchedule(1.0, 1.0)
     perturb_sigma: float = 1e-3
     l1_beta: float = 1e-4
     step: int = 0
@@ -159,26 +177,6 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
     return (a, b, c_row), (vel_a, vel_b, vel_c_row)
 
 
-def sgd_sweep(t: DenseTensor3, f: KruskalFactors, state: NesgdState,
-              kind: OptimizerKind, sample_k: int):
-    """One stochastic step driven by frontal slice ``sample_k``."""
-    if not 0 <= sample_k < t.dims[2]:
-        raise ValidationError(f"sample_k {sample_k} out of range")
-    if state.vel_a.shape != f.a.shape or state.vel_b.shape != f.b.shape \
-            or state.vel_c.shape != f.c.shape:
-        raise ShapeMismatchError("velocity shapes do not match the factors")
-    (a, b, c_row), (vel_a, vel_b, vel_c_row) = _apply_step(
-        f.a, f.b, f.c[sample_k], state.vel_a, state.vel_b,
-        state.vel_c[sample_k], t.slice_at(sample_k), state, kind,
-    )
-    c = f.c.copy()
-    c[sample_k] = c_row
-    state.vel_a, state.vel_b = vel_a, vel_b
-    state.vel_c[sample_k] = vel_c_row
-    state.step += 1
-    return KruskalFactors(a, b, c), state
-
-
 @dataclass
 class StreamOptions:
     """Configuration for stream initialization and online updates."""
@@ -187,18 +185,12 @@ class StreamOptions:
     tol: float = 1e-6
     seed: int = 0
     friction: float = 0.9
-    lr: callable = None
+    lr: LrSchedule = None  # None: LrSchedule.for_slices(dims)
     perturb_sigma: float = 1e-3
     l1_beta: float = 1e-4
 
     def make_state(self, dims, rank) -> NesgdState:
-        # The pipeline default decays much more gently than the benchmark
-        # 1/(1+t) schedule; online adaptation needs a step size that does
-        # not vanish within the training window. The base rate scales with
-        # the slice size because the temporal-row design has I*J rows, which
-        # caps the stable step at O(1/(I*J)).
-        i_n, j_n, _ = dims
-        lr = self.lr or (lambda t: 4.0 / (i_n * j_n) / (1.0 + 1e-4 * t))
+        lr = LrSchedule.for_slices(dims) if self.lr is None else self.lr
         return NesgdState.zeros(
             dims, rank,
             friction=self.friction, lr=lr, perturb_sigma=self.perturb_sigma,
@@ -235,33 +227,48 @@ def _window_rmse(window, x_sq, a, b, c):
     return float(np.sqrt(err / window.size))
 
 
+def _window_copy(t: DenseTensor3):
+    """A read-only contiguous (K, I, J) copy of ``t`` and its squared norm."""
+    window = np.ascontiguousarray(np.moveaxis(t.data, 2, 0))
+    window.setflags(write=False)
+    return window, np.vdot(window, window)
+
+
+def _step_slices(window, a, b, c, state, kind, ks):
+    """One ``_apply_step`` on the view ``window[k]`` for each k of ``ks``.
+
+    Returns the new (A, B); row k of ``c`` and of ``state.vel_c`` is
+    updated in place. A step that raises ``DivergedError`` changes none of
+    them, so they hold what the steps before it left.
+    """
+    vel_c = state.vel_c
+    for k in ks:
+        (a, b, c[k]), (state.vel_a, state.vel_b, vel_c[k]) = _apply_step(
+            a, b, c[k], state.vel_a, state.vel_b, vel_c[k], window[k],
+            state, kind,
+        )
+        state.step += 1
+    return a, b
+
+
 def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
                           opts: StreamOptions = None) -> StreamDecomposition:
     """Fit the training window by epochs of shuffled single-slice steps.
 
-    Each step is the ``sgd_sweep`` step on a view of one contiguous (K, I, J)
-    copy of the window. The fit stops after an epoch that moved the RMSE by
-    less than ``opts.tol``. The retained ``slices`` are read-only views of
-    that copy.
+    Each step is taken on a view of one contiguous (K, I, J) copy of the
+    window. The fit stops after an epoch that moved the RMSE by less than
+    ``opts.tol``. The retained ``slices`` are read-only views of that copy.
     """
     opts = opts or StreamOptions()
-    k_n = t0.dims[2]
-    window = np.ascontiguousarray(np.moveaxis(t0.data, 2, 0))
-    window.setflags(write=False)
-    x_sq = np.vdot(window, window)
+    window, x_sq = _window_copy(t0)
     f = init_factors(t0.dims, rank, opts.seed)
     a, b, c = f.a, f.b, f.c.copy()
     state = opts.make_state(t0.dims, rank)
-    vel_c = state.vel_c
     shuffle_rng = np.random.default_rng(opts.seed + 1)
     prev_rmse = _window_rmse(window, x_sq, a, b, c)
     for _ in range(opts.epochs):
-        for k in shuffle_rng.permutation(k_n):
-            (a, b, c[k]), (state.vel_a, state.vel_b, vel_c[k]) = _apply_step(
-                a, b, c[k], state.vel_a, state.vel_b, vel_c[k], window[k],
-                state, kind,
-            )
-            state.step += 1
+        a, b = _step_slices(window, a, b, c, state, kind,
+                            shuffle_rng.permutation(t0.dims[2]))
         cur = _window_rmse(window, x_sq, a, b, c)
         if abs(prev_rmse - cur) < opts.tol:
             break

@@ -5,7 +5,6 @@ Dual convention: minimize 1/2 a^T K a subject to sum(a) = 1 and
 g(x) = sum_j a_j K(x, x_j) - rho.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,6 @@ class KernelSpec:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and self.sigma <= 0:
             raise ValidationError("rbf sigma must be > 0")
-
-
-def kernel_eval(k: KernelSpec, x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"vector shapes {x.shape} != {y.shape}")
-    if k.kind == "linear":
-        return float(x @ y)
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * k.sigma**2)))
 
 
 def kernel_matrix(k: KernelSpec, x, y=None) -> np.ndarray:
@@ -131,21 +119,9 @@ class OcsvmModel:
         return cls(from_hex(payload["train_x"]), from_hex(payload["alpha"]),
                    from_hex(payload["rho"]), from_hex(payload["nu"]), kernel)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "OcsvmModel":
-        return cls.from_dict(json.loads(text))
-
 
 def decision_value(m: OcsvmModel, x) -> float:
     return float(m.decision_values(np.atleast_2d(x))[0])
-
-
-def classify(m: OcsvmModel, x) -> int:
-    """+1 on or inside the boundary (g >= 0), -1 outside."""
-    return 1 if decision_value(m, x) >= 0.0 else -1
 
 
 def recover_rho(f_vals, alpha, c_bound):

@@ -86,9 +86,6 @@ class KruskalFactors:
     def dims(self):
         return (self.a.shape[0], self.b.shape[0], self.c.shape[0])
 
-    def copy(self):
-        return KruskalFactors(self.a.copy(), self.b.copy(), self.c.copy())
-
 
 def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
     """Mode-m matricization of ``t``.

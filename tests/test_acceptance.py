@@ -16,12 +16,12 @@ from driftwatch import (
     AdvisorConfig,
     DenseTensor3,
     KernelSpec,
+    LrSchedule,
     OptimizerKind,
     PipelineState,
     StreamOptions,
     UpdatePolicy,
     add_sample,
-    cp_gradient,
     decompose_stream_init,
     kernel_matrix,
     kkt_partition,
@@ -29,12 +29,11 @@ from driftwatch import (
     mode_design,
     process_event,
     train_batch,
-    unfold,
 )
 from driftwatch.cli import main as cli_main
 from driftwatch.cli import run_benchmark
-from driftwatch.decomp import KruskalFactors
-from driftwatch.tensor import kruskal_reconstruct
+from driftwatch.decomp import KruskalFactors, cp_gradient
+from driftwatch.tensor import kruskal_reconstruct, unfold
 
 
 def report(capsys, name, ok, elapsed, detail=""):
@@ -104,7 +103,8 @@ class TestA2OptimizerOrdering:
                                 seed=seed, noise_sigma=0.05)
             tensor, _, _ = dw.generate(spec)
             # shared random init, decoupled from the data seed
-            traces = run_benchmark(tensor, 2, kinds, seed + 1000, (1.0, 1.0))
+            opts = StreamOptions(seed=seed + 1000, lr=LrSchedule(1.0, 1.0))
+            traces = run_benchmark(tensor, 2, kinds, opts)
             tau = 1.1 * min(tr[-1][1] for tr in traces.values())
             steps = {k: self.steps_to_tau(traces[k], tau) for k in kinds}
             wins += int(steps[OptimizerKind.NESGD]
@@ -218,7 +218,7 @@ class TestA4DriftAdaptation:
         decomp = decompose_stream_init(
             window, 2, OptimizerKind.NESGD,
             StreamOptions(epochs=30, seed=0, friction=0.0,
-                          lr=lambda t: (4.0 / 720.0) / (1.0 + 2e-4 * t)),
+                          lr=LrSchedule(4.0 / 720.0, 2e-4)),
         )
         sigma = 2.0 * median_pairwise_sigma(decomp.factors.c)
         model = train_batch(decomp.factors.c, 0.02, KernelSpec("rbf", sigma))

@@ -14,6 +14,7 @@ from driftwatch import (
     DivergedError,
     KernelSpec,
     LocationSnapshot,
+    LrSchedule,
     OptimizerKind,
     PipelineState,
     ShapeMismatchError,
@@ -21,20 +22,17 @@ from driftwatch import (
     TooFewLocationsError,
     UpdatePolicy,
     ValidationError,
-    advised_decision,
-    baseline_threshold_policy,
     calibrate_gamma_change,
     decompose_stream_init,
     environmental_probability,
     knn_score,
-    knn_unit_vectors,
     kruskal_reconstruct,
-    mean_abs_change,
     median_pairwise_sigma,
     process_event,
     train_batch,
     update_online,
 )
+from driftwatch.advisor import advised_decision, baseline_threshold_policy
 from driftwatch.decomp import KruskalFactors
 
 
@@ -78,25 +76,6 @@ class TestKnnScore:
         b = rng.standard_normal((8, 2))
         np.testing.assert_allclose(knn_score(b, 3), knn_score(b + 7.5, 3),
                                    atol=1e-9)
-
-
-class TestKnnUnitVectors:
-    def test_known_geometry(self):
-        b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        vecs = knn_unit_vectors(b, 0, 2)
-        np.testing.assert_allclose(vecs[0], [-1.0, 0.0])
-        np.testing.assert_allclose(vecs[1], [0.0, -1.0])
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((9, 3))
-        for v in knn_unit_vectors(b, 4, 5):
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_coincident_rows_give_zero_vector(self):
-        b = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-        vecs = knn_unit_vectors(b, 0, 1)
-        np.testing.assert_array_equal(vecs[0], [0.0, 0.0])
 
 
 class TestEnvironmentalProbability:
@@ -156,13 +135,6 @@ class TestEnvironmentalProbability:
         p_ref = environmental_probability(*self.snap_pair(b0, b1), cfg)
         p_rot = environmental_probability(*self.snap_pair(b0 @ q, b1 @ q), cfg)
         assert p_rot == pytest.approx(p_ref)
-
-    def test_mean_abs_change_example(self):
-        b0 = np.array([[0.0], [1.0], [3.0]])
-        b1 = np.array([[0.0], [1.0], [4.0]])
-        prev, curr = self.snap_pair(b0, b1, k=1)
-        # k=1 scores move from (1,1,2) to (1,1,3)
-        assert mean_abs_change(prev, curr) == pytest.approx(1.0 / 3.0)
 
 
 class TestAdvisedDecision:
@@ -224,7 +196,7 @@ def small_pipeline(policy, seed=0, gamma=1e-3):
     # data entries are O(1) here, so the dims-scaled default step is too hot
     d = decompose_stream_init(t, 2, OptimizerKind.NESGD,
                               StreamOptions(epochs=120, seed=0,
-                                            lr=lambda s: 0.03))
+                                            lr=LrSchedule(0.03, 0.0)))
     sigma = median_pairwise_sigma(d.factors.c)
     m = train_batch(d.factors.c, 0.2, KernelSpec("rbf", sigma))
     cfg = AdvisorConfig(k_neighbors=2, gamma_change=gamma,

@@ -83,11 +83,27 @@ class TestTrainAndBundle:
         g1 = model.decision_values(probes)
         back = json.loads(bundle_path.read_text())
         from driftwatch import OcsvmModel
-        model2 = OcsvmModel.from_json(json.dumps(back["model"]))
+        model2 = OcsvmModel.from_dict(back["model"])
         g2 = model2.decision_values(probes)
         np.testing.assert_array_equal(g1, g2)
         assert config.k_neighbors == 2
         assert config.gamma_change == 0.01
+
+    @pytest.mark.parametrize("lr_a,lr_b,want", [
+        ("0", "0.003", (4.0 / 30.0, 0.003)),  # auto rate 4/(I*J), I*J = 30
+        ("0.02", "0.5", (0.02, 0.5)),
+    ], ids=["auto", "explicit"])
+    def test_bundle_keeps_the_lr_schedule(self, tmp_path, lr_a, lr_b, want):
+        from driftwatch import LrSchedule
+        from driftwatch.cli import load_bundle
+
+        tensor_path = tmp_path / "t.csv"
+        bundle_path = tmp_path / "bundle.json"
+        run_cli(*synth_args(tensor_path))
+        assert run_cli(*train_args(tensor_path, bundle_path),
+                       "--lr-a", lr_a, "--lr-b", lr_b) == 0
+        _, decomp, _, _, _ = load_bundle(str(bundle_path), [])
+        assert decomp.state.lr == LrSchedule(*want)
 
     def test_window_larger_than_k_fails(self, tmp_path):
         tensor_path = tmp_path / "t.csv"

@@ -10,25 +10,53 @@ from driftwatch import (
     DenseTensor3,
     DivergedError,
     KruskalFactors,
+    LrSchedule,
     NesgdState,
     OptimizerKind,
     ShapeMismatchError,
     StreamDecomposition,
     StreamOptions,
     ValidationError,
-    cp_gradient,
+    SynthSpec,
     decompose_stream_init,
+    generate,
     init_factors,
     khatri_rao,
     kruskal_reconstruct,
     rmse,
-    sgd_sweep,
-    unfold,
     update_online,
 )
-from driftwatch.decomp import RIDGE, _slice_gradients, _window_rmse
+from driftwatch.cli import run_benchmark
+from driftwatch.decomp import (
+    RIDGE,
+    _apply_step,
+    _slice_gradients,
+    _window_rmse,
+    cp_gradient,
+)
+from driftwatch.tensor import unfold
 
 RNG = np.random.default_rng(77)
+
+
+def sgd_sweep(t, f, state, kind, sample_k):
+    """Reference step: one ``_apply_step`` driven by frontal slice
+    ``sample_k``, on a fresh copy of C and factors validated again."""
+    if not 0 <= sample_k < t.dims[2]:
+        raise ValidationError(f"sample_k {sample_k} out of range")
+    if state.vel_a.shape != f.a.shape or state.vel_b.shape != f.b.shape \
+            or state.vel_c.shape != f.c.shape:
+        raise ShapeMismatchError("velocity shapes do not match the factors")
+    (a, b, c_row), (vel_a, vel_b, vel_c_row) = _apply_step(
+        f.a, f.b, f.c[sample_k], state.vel_a, state.vel_b,
+        state.vel_c[sample_k], t.slice_at(sample_k), state, kind,
+    )
+    c = f.c.copy()
+    c[sample_k] = c_row
+    state.vel_a, state.vel_b = vel_a, vel_b
+    state.vel_c[sample_k] = vel_c_row
+    state.step += 1
+    return KruskalFactors(a, b, c), state
 
 
 def fd_direction(t, f, mode, h=1e-6):
@@ -121,7 +149,8 @@ class TestSgdSweep:
 
     def test_zero_lr_no_change(self):
         for kind in OptimizerKind:
-            st0 = self._state(lr=lambda t: 0.0, perturb_sigma=0.0, l1_beta=0.0)
+            st0 = self._state(lr=LrSchedule(0.0, 0.0), perturb_sigma=0.0,
+                              l1_beta=0.0)
             f1, _ = sgd_sweep(self.t, self.f, st0, kind, 0)
             np.testing.assert_array_equal(f1.a, self.f.a)
             np.testing.assert_array_equal(f1.b, self.f.b)
@@ -129,7 +158,7 @@ class TestSgdSweep:
 
     def test_nesgd_equals_sgd_when_disabled(self):
         kw = dict(friction=0.0, perturb_sigma=0.0, l1_beta=0.0,
-                  lr=lambda t: 0.05)
+                  lr=LrSchedule(0.05, 0.0))
         f_sgd, _ = sgd_sweep(self.t, self.f, self._state(**kw),
                              OptimizerKind.SGD, 1)
         f_ne, _ = sgd_sweep(self.t, self.f, self._state(**kw),
@@ -139,7 +168,7 @@ class TestSgdSweep:
         np.testing.assert_array_equal(f_sgd.c, f_ne.c)
 
     def test_momentum_accumulates_displacement(self):
-        kw = dict(perturb_sigma=0.0, l1_beta=0.0, lr=lambda t: 0.01)
+        kw = dict(perturb_sigma=0.0, l1_beta=0.0, lr=LrSchedule(0.01, 0.0))
         f_sgd = self.f
         st_sgd = self._state(friction=0.0, **kw)
         f_ne = self.f
@@ -157,7 +186,7 @@ class TestSgdSweep:
         assert disp_ne != disp_sgd  # momentum changes the trajectory
 
     def test_psgd_is_sgd_plus_noise(self):
-        kw = dict(friction=0.0, l1_beta=0.0, lr=lambda t: 0.05)
+        kw = dict(friction=0.0, l1_beta=0.0, lr=LrSchedule(0.05, 0.0))
         f_sgd, _ = sgd_sweep(self.t, self.f,
                              self._state(perturb_sigma=0.0, **kw),
                              OptimizerKind.SGD, 0)
@@ -169,7 +198,7 @@ class TestSgdSweep:
 
     def test_reproducible_with_fixed_seed(self):
         kw = dict(friction=0.9, perturb_sigma=1e-3, rng_seed=11,
-                  lr=lambda t: 0.01)
+                  lr=LrSchedule(0.01, 0.0))
         outs = []
         for _ in range(2):
             f, st0 = self.f, self._state(**kw)
@@ -184,7 +213,8 @@ class TestSgdSweep:
             sgd_sweep(self.t, self.f, self._state(), OptimizerKind.SGD, 5)
 
     def test_divergence_detected(self):
-        st0 = self._state(friction=0.0, perturb_sigma=0.0, lr=lambda t: 1e9)
+        st0 = self._state(friction=0.0, perturb_sigma=0.0,
+                          lr=LrSchedule(1e9, 0.0))
         f = self.f
         with pytest.raises(DivergedError):
             for _ in range(50):
@@ -197,7 +227,7 @@ class TestSgdSweep:
         t = DenseTensor3(rng.uniform(size=(3, 3, 3)))
         f = init_factors(t.dims, 2, seed=seed % 1000)
         kw = dict(friction=0.0, perturb_sigma=0.0, l1_beta=0.0,
-                  lr=lambda s: 0.02)
+                  lr=LrSchedule(0.02, 0.0))
         f1, _ = sgd_sweep(t, f, NesgdState.zeros(t.dims, 2, **kw),
                           OptimizerKind.SGD, 1)
         f2, _ = sgd_sweep(t, f, NesgdState.zeros(t.dims, 2, **kw),
@@ -220,7 +250,8 @@ class TestStream:
         # noiseless data: disable shrinkage, noise, and plateau stop so the
         # optimizer can run all the way down
         return StreamOptions(epochs=epochs, seed=0, tol=0.0, l1_beta=0.0,
-                             perturb_sigma=0.0, lr=lambda s: 4.0 / 30.0)
+                             perturb_sigma=0.0,
+                             lr=LrSchedule(4.0 / 30.0, 0.0))
 
     def test_init_fits_noiseless_rank2(self):
         t = self.make_window()
@@ -268,7 +299,8 @@ class TestStream:
         f = KruskalFactors(rng.standard_normal((i_n, rank)),
                            rng.standard_normal((j_n, rank)),
                            rng.standard_normal((4, rank)))
-        state = NesgdState.zeros((i_n, j_n, 4), rank, lr=lambda s: 1e-3)
+        state = NesgdState.zeros((i_n, j_n, 4), rank,
+                                 lr=LrSchedule(1e-3, 0.0))
         d = StreamDecomposition(f, state, OptimizerKind.NESGD, [])
         slice_ij = rng.standard_normal(shape)
         design = khatri_rao(f.b, f.a)
@@ -305,6 +337,10 @@ class TestStream:
                                           np.vstack(c_rows)))
         assert final <= max(1.5 * base, 1e-3)
 
+    def test_default_schedule_is_the_auto_rate(self):
+        state = StreamOptions().make_state((6, 5, 10), 2)
+        assert state.lr == LrSchedule(4.0 / 30.0, 1e-4)
+
     def test_update_online_shape_check(self):
         t = self.make_window(k_n=5)
         d = decompose_stream_init(t, 2, OptimizerKind.NESGD,
@@ -314,7 +350,7 @@ class TestStream:
 
 
 def reference_fit(t, rank, kind, opts):
-    """The window fit spelled out with public ``sgd_sweep`` steps and the
+    """The window fit spelled out with reference ``sgd_sweep`` steps and the
     ``rmse`` stopping rule."""
     f = init_factors(t.dims, rank, opts.seed)
     state = opts.make_state(t.dims, rank)
@@ -330,6 +366,58 @@ def reference_fit(t, rank, kind, opts):
     return f, state
 
 
+def reference_trace(t, rank, kind, opts, rmse_every=10):
+    """The ``run_benchmark`` pass spelled out with ``sgd_sweep`` steps and
+    ``rmse`` on the whole tensor."""
+    f = init_factors(t.dims, rank, opts.seed)
+    state = opts.make_state(t.dims, rank)
+    k_n = t.dims[2]
+    trace = [(0, rmse(t, f))]
+    try:
+        for k in range(k_n):
+            f, state = sgd_sweep(t, f, state, kind, k)
+            if (k + 1) % rmse_every == 0 or k == k_n - 1:
+                trace.append((k + 1, rmse(t, f)))
+    except DivergedError:
+        pass
+    return trace
+
+
+class TestBenchTrace:
+    @staticmethod
+    def assert_same_trace(got, want):
+        assert [step for step, _ in got] == [step for step, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+    @pytest.mark.parametrize("rmse_every", [7, 10])
+    def test_equals_reference_loop(self, rmse_every):
+        rng = np.random.default_rng(41)
+        t = DenseTensor3(rng.uniform(size=(8, 5, 45)))
+        opts = StreamOptions(seed=3, lr=LrSchedule(0.05, 1e-3))
+        kinds = list(OptimizerKind)
+        traces = run_benchmark(t, 2, kinds, opts, rmse_every)
+        for kind in kinds:
+            assert traces[kind][-1][0] == t.dims[2]
+            self.assert_same_trace(
+                traces[kind], reference_trace(t, 2, kind, opts, rmse_every))
+
+    def test_diverging_pass_stops_where_the_reference_does(self):
+        t, _, _ = generate(SynthSpec(dims=(60, 12, 40), rank_true=2, seed=0,
+                                     noise_sigma=0.05))
+        opts = StreamOptions(seed=1000, lr=LrSchedule(1.0, 1.0))
+        got = run_benchmark(t, 2, [OptimizerKind.SGD], opts)
+        # SGD diverges within the first 10 steps: only step 0 is recorded
+        assert [step for step, _ in got[OptimizerKind.SGD]] == [0]
+        self.assert_same_trace(got[OptimizerKind.SGD],
+                               reference_trace(t, 2, OptimizerKind.SGD, opts))
+
+    def test_rmse_every_below_one_is_rejected(self):
+        t = DenseTensor3(RNG.uniform(size=(3, 3, 4)))
+        with pytest.raises(ValidationError):
+            run_benchmark(t, 2, [OptimizerKind.SGD], StreamOptions(), 0)
+
+
 def closed_form_rmse(t, f):
     window = np.moveaxis(t.data, 2, 0)
     return _window_rmse(window, np.vdot(window, window), f.a, f.b, f.c)
@@ -342,7 +430,7 @@ class TestWindowFit:
         rng = np.random.default_rng(31)
         t = DenseTensor3(rng.uniform(size=(7, 5, 30)))
         opts = StreamOptions(epochs=epochs, tol=tol, seed=4,
-                             lr=lambda s: 0.1 / (1.0 + 1e-3 * s))
+                             lr=LrSchedule(0.1, 1e-3))
         d = decompose_stream_init(t, 3, kind, opts)
         f, state = reference_fit(t, 3, kind, opts)
         for got, want in ((d.factors.a, f.a), (d.factors.b, f.b),

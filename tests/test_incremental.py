@@ -9,14 +9,13 @@ from driftwatch import (
     KernelSpec,
     OcsvmModel,
     add_sample,
-    build_system,
     kernel_matrix,
     kkt_partition,
     median_pairwise_sigma,
     train_batch,
 )
 from driftwatch import incremental
-from driftwatch.incremental import _expand, _rates, _shrink
+from driftwatch.incremental import _expand, _rates, _shrink, build_system
 
 
 def make_model(n=20, seed=0, nu=0.3, dim=2):

@@ -1,5 +1,7 @@
 """Batch one-class SVM against a dense projected-gradient QP oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,28 @@ from driftwatch import (
     ShapeMismatchError,
     ValidationError,
     add_sample,
-    classify,
     decision_value,
-    kernel_eval,
     kernel_matrix,
     kkt_partition,
     median_pairwise_sigma,
     train_batch,
 )
+
+
+def kernel_eval(k, x, y):
+    """Per-pair kernel value, the oracle for ``kernel_matrix``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if k.kind == "linear":
+        return float(x @ y)
+    return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * k.sigma**2)))
+
+
+def kernel_value(k, x, y):
+    """``kernel_matrix`` on the single rows x and y."""
+    kmat = kernel_matrix(k, [x], [y])
+    assert kmat.shape == (1, 1)
+    return float(kmat[0, 0])
 
 
 def qp_oracle(x, nu, kernel, iters=200_000):
@@ -67,19 +83,20 @@ def qp_oracle(x, nu, kernel, iters=200_000):
 class TestKernels:
     def test_rbf_self(self):
         k = KernelSpec("rbf", 1.0)
-        assert kernel_eval(k, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
+        assert kernel_value(k, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
 
     def test_rbf_large_sigma_limit(self):
         k = KernelSpec("rbf", 1e6)
-        assert kernel_eval(k, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(1.0, abs=1e-6)
+        assert kernel_value(k, [0.0, 0.0], [3.0, 4.0]) == \
+            pytest.approx(1.0, abs=1e-6)
 
     def test_linear(self):
         k = KernelSpec("linear")
-        assert kernel_eval(k, [1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
+        assert kernel_value(k, [1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            kernel_eval(KernelSpec("linear"), [1.0], [1.0, 2.0])
+            kernel_matrix(KernelSpec("linear"), [[1.0]], [[1.0, 2.0]])
 
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
@@ -172,21 +189,22 @@ class TestDecisionAndClassify:
     def test_far_point_negative_class(self):
         assert self.m.rho > 0
         far = np.array([100.0 * self.kernel.sigma, 0.0])
-        assert classify(self.m, far) == -1
+        assert decision_value(self.m, far) < 0.0
 
     def test_centroid_positive(self):
         rng = np.random.default_rng(13)
         tight = 0.05 * rng.standard_normal((20, 2)) + np.array([1.0, 1.0])
         m = train_batch(tight, 0.2, KernelSpec("rbf", 0.5))
-        assert classify(m, tight.mean(axis=0)) == 1
+        assert decision_value(m, tight.mean(axis=0)) >= 0.0
 
     def test_zero_maps_to_positive(self):
-        # boundary tie rule: g == 0 is classified +1
+        # a support vector put exactly on the boundary scores g = 0, which
+        # is the inside (g >= 0) of the boundary
         m = self.m.copy()
         s_idx, _, _ = kkt_partition(m)
         g_s = decision_value(m, self.x[s_idx[0]])
         m.rho += g_s  # force the support vector exactly onto the boundary
-        assert classify(m, self.x[s_idx[0]]) == 1
+        assert decision_value(m, self.x[s_idx[0]]) >= 0.0
 
     def test_lipschitz_bound_rbf(self):
         rng = np.random.default_rng(14)
@@ -279,7 +297,7 @@ class TestSerialization:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((12, 2))
         m = train_batch(x, 0.25, KernelSpec("rbf", 0.8))
-        back = OcsvmModel.from_json(m.to_json())
+        back = OcsvmModel.from_dict(json.loads(json.dumps(m.to_dict())))
         assert back.rho == m.rho
         assert back.nu == m.nu
         assert back.kernel == m.kernel

@@ -18,8 +18,8 @@ from driftwatch import (
     rmse,
     save_factor_csv,
     save_tensor_csv,
-    unfold,
 )
+from driftwatch.tensor import unfold
 
 RNG = np.random.default_rng(1234)
 

@@ -19,13 +19,25 @@ The two runs are compared on:
 - the largest |delta g_raw| over all events, which may be at most
   ``G_RAW_TOL``.
 
-One line is printed per workload and seed. The exit status is 1 on any
-mismatch, 0 otherwise. Nothing under ``streambench/`` is modified.
+One line is printed per workload and seed.
+
+Before that, each checkout runs the ``synth``/``bench``/``train``/
+``stream``/``eval`` commands of acceptance test A6 in an empty temporary
+directory of its own. Every file they write, and the standard output of
+``eval``, is compared byte for byte; one line is printed per file, and a
+file that differs prints its largest absolute numeric difference (hex
+floats included). The CLI runs match when, in every file, the text between
+the numbers is equal and no number differs by more than ``G_RAW_TOL``.
+
+The exit status is 1 on any mismatch, 0 otherwise. Nothing under
+``streambench/`` is modified.
 """
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,6 +48,28 @@ G_RAW_TOL = 1e-12
 CHILD_TIMEOUT_S = 1800
 # as streambench/run.py: one BLAS thread, set before numpy is imported
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the commands of acceptance test A6, in order; "eval" writes to stdout
+CLI_COMMANDS = (
+    ["synth", "--i", "6", "--j", "5", "--k", "60", "--rank", "2",
+     "--seed", "7", "--noise-sigma", "0.02", "--anomaly-steps", "40,45",
+     "--anomaly-location", "1", "--anomaly-mu-shift", "4.0",
+     "--out", "t.csv"],
+    ["bench", "--tensor", "t.csv", "--optimizers", "sgd,psgd,nesgd",
+     "--lr-a", "0.02", "--lr-b", "0.001", "--seed", "7", "--out",
+     "bench.csv"],
+    ["train", "--tensor", "t.csv", "--window", "30", "--rank", "2",
+     "--nu", "0.1", "--epochs", "40", "--seed", "7", "--k-neighbors", "2",
+     "--gamma-change", "0.01", "--out", "b.json"],
+    ["stream", "--bundle", "b.json", "--tensor", "t.csv", "--verdicts",
+     "v.csv", "--metrics", "m.json", "--migrations", "mig.jsonl"],
+    ["eval", "--verdicts", "v.csv", "--labels", "t.labels.csv"],
+)
+EVAL_STDOUT = "eval.stdout"
+# a hex float as to_hex writes it, or a decimal number; the group keeps the
+# numbers in re.split's output
+NUMBER = re.compile(r"(-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+"
+                    r"|-?\d+(?:\.\d*)?(?:e[-+]?\d+)?|-?inf|nan)")
 
 
 def json_leaves(value, path=""):
@@ -60,17 +94,78 @@ def bundle_diff(parent, change):
             for name, paths in groups if paths]
 
 
-def run_child(checkout, workload, seed):
-    """Set up and stream one pass inside ``checkout``; returns the record."""
-    checkout = Path(checkout).resolve()
+def child_env(checkout):
+    """The environment of a child process that imports ``checkout``."""
     env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src"), str(checkout / "streambench")])
+    return env
+
+
+def run_cli(checkout):
+    """{file name: bytes} of the A6 commands run by ``checkout`` in an
+    empty directory; the standard output of ``eval`` is one more file."""
+    checkout = Path(checkout).resolve()
+    env = child_env(checkout)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in CLI_COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "driftwatch.cli", *argv], env=env,
+                cwd=tmp, capture_output=True, check=False,
+                timeout=CHILD_TIMEOUT_S)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{checkout} driftwatch {argv[0]} failed:"
+                                   f"\n{proc.stderr.decode()}")
+        files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    files[EVAL_STDOUT] = proc.stdout  # the last command is eval
+    return files
+
+
+def numeric_diff(old, new):
+    """Largest |difference| between the numbers of two texts; inf when the
+    text between the numbers differs."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
+        return math.inf
+
+    def value(text):
+        return float.fromhex(text) if "x" in text else float(text)
+
+    return max((abs(value(p) - value(c))
+                for p, c in zip(old_parts[1::2], new_parts[1::2]) if p != c),
+               default=0.0)
+
+
+def compare_cli(parent_dir, change_dir):
+    """Prints one line per CLI output file; returns the number that do not
+    match."""
+    parent, change = run_cli(parent_dir), run_cli(change_dir)
+    bad = 0
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in parent or name not in change:
+            bad += 1
+            side = "parent" if name not in parent else "change"
+            print(f"cli {name:14s} MISMATCH missing in the {side}")
+            continue
+        if parent[name] == change[name]:
+            print(f"cli {name:14s} match  identical bytes")
+            continue
+        diff = numeric_diff(parent[name].decode(), change[name].decode())
+        ok = diff <= G_RAW_TOL
+        bad += not ok
+        print(f"cli {name:14s} {'match ' if ok else 'MISMATCH'} "
+              f"max|dnumber| {diff:.1e}", flush=True)
+    return bad
+
+
+def run_child(checkout, workload, seed):
+    """Set up and stream one pass inside ``checkout``; returns the record."""
+    checkout = Path(checkout).resolve()
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child",
          str(checkout), workload, str(seed)],
-        env=env, cwd=checkout, capture_output=True, text=True, check=False,
-        timeout=CHILD_TIMEOUT_S)
+        env=child_env(checkout), cwd=checkout, capture_output=True,
+        text=True, check=False, timeout=CHILD_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} {workload} seed {seed} failed:\n"
                            f"{proc.stderr}")
@@ -174,7 +269,7 @@ def main(argv):
     sys.path.insert(0, str(Path(change_dir, "src").resolve()))
     import workloads
 
-    mismatches = 0
+    mismatches = int(compare_cli(parent_dir, change_dir) > 0)
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             parent = run_child(parent_dir, workload, seed)
@@ -194,7 +289,7 @@ def main(argv):
                                 or ["    bundle: same JSON, other bytes"]),
                       flush=True)
     print("behaviour matches" if not mismatches
-          else f"{mismatches} workload/seed runs differ")
+          else f"{mismatches} runs differ (the CLI leg counts as one)")
     return 1 if mismatches else 0
 
 
