@@ -18,7 +18,8 @@ from .errors import (
 from .tensor import from_hex, to_hex
 
 KKT_TOL = 1e-6
-SMO_TOL = 1e-8
+# well below 1e-9, so no margin point is left scoring like an outlier
+SMO_TOL = 1e-10
 SMO_MAX_UPDATES = 1_000_000
 
 
