@@ -34,6 +34,7 @@ from .errors import (
     TooFewLocationsError,
     ValidationError,
 )
+from .files import load_tensor_csv, save_factor_csv, save_tensor_csv
 from .incremental import add_sample
 from .ocsvm import (
     KernelSpec,
@@ -50,11 +51,8 @@ from .tensor import (
     KruskalFactors,
     khatri_rao,
     kruskal_reconstruct,
-    load_tensor_csv,
     mode_design,
     rmse,
-    save_factor_csv,
-    save_tensor_csv,
 )
 
 __version__ = "0.1.0"

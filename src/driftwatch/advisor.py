@@ -7,7 +7,7 @@ together, and as an anomaly when only a few did.
 
 import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .incremental import add_sample
-from .ocsvm import OcsvmModel, decision_value, train_batch
+from .ocsvm import OcsvmModel, decision_value, sq_distances, train_batch
 
 log = logging.getLogger(__name__)
 
@@ -74,15 +74,6 @@ class LocationSnapshot:
         return cls(b, knn_score(b, k))
 
 
-def _pairwise_distances(b):
-    d2 = (
-        np.sum(b**2, axis=1)[:, None]
-        + np.sum(b**2, axis=1)[None, :]
-        - 2.0 * (b @ b.T)
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 def _check_k(b, k):
     j_n = b.shape[0]
     if j_n < 2:
@@ -95,7 +86,7 @@ def knn_score(b, k: int) -> np.ndarray:
     """Mean Euclidean distance from each row to its k nearest other rows."""
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     _check_k(b, k)
-    dist = _pairwise_distances(b)
+    dist = np.sqrt(sq_distances(b, b))
     np.fill_diagonal(dist, np.inf)
     nearest = np.sort(dist, axis=1)[:, :k]
     return nearest.mean(axis=1)
@@ -150,7 +141,7 @@ class PipelineState:
 def _incorporate(state: PipelineState, c_new):
     try:
         model, events = add_sample(state.model, c_new)
-        state.migration_log.extend(ev.as_dict() for ev in events)
+        state.migration_log.extend(asdict(ev) for ev in events)
     except ImmobileError:
         log.warning("incremental update immobile; retraining batch model")
         state.retrain_fallbacks += 1

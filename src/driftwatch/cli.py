@@ -7,19 +7,16 @@ timings go to stderr only.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
-from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import advisor, synth
 from .advisor import Action, AdvisorConfig, PipelineState, UpdatePolicy
 from .decomp import (
     LrSchedule,
-    NesgdState,
     OptimizerKind,
-    StreamDecomposition,
     StreamOptions,
     _step_slices,
     _window_copy,
@@ -35,163 +32,26 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .ocsvm import KernelSpec, OcsvmModel, median_pairwise_sigma, train_batch
-from .tensor import (
-    DenseTensor3,
-    KruskalFactors,
-    from_hex,
+from .files import (
+    labels_path,
+    load_bundle,
     load_tensor_csv,
-    rmse,
+    read_labels,
+    read_verdicts,
+    save_bundle,
     save_factor_csv,
     save_tensor_csv,
-    to_hex,
+    sibling,
+    write_json,
+    write_labels,
+    write_migrations,
+    write_traces,
+    write_verdicts,
 )
+from .ocsvm import KernelSpec, median_pairwise_sigma, train_batch
+from .tensor import DenseTensor3, rmse
 
 make_lr = LrSchedule  # streambench/pipeline.py calls it by this name
-
-
-@contextmanager
-def _reading(path, what):
-    try:
-        with open(path, newline="") as fh:
-            yield fh
-    except OSError as exc:
-        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
-
-
-@contextmanager
-def _writing(path, what):
-    try:
-        with open(path, "w", newline="") as fh:
-            yield fh
-    except OSError as exc:
-        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
-
-
-def labels_path(tensor_path: str) -> str:
-    root = tensor_path.rsplit(".", 1)[0]
-    return root + ".labels.csv"
-
-
-def write_labels(path, labels):
-    with _writing(path, "labels") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "label"])
-        for k, lab in enumerate(labels):
-            w.writerow([k, lab])
-
-
-def read_labels(path, n=None):
-    """Labels of time steps 0..n-1 (n defaults to the row count).
-
-    Every step needs exactly one row; a ``k`` that is out of range,
-    repeated or missing is a ValidationError.
-    """
-    with _reading(path, "labels") as fh:
-        rows = list(csv.DictReader(fh))
-    labels = [None] * (len(rows) if n is None else n)
-    for row in rows:
-        try:
-            k, label = int(row["k"]), row["label"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed labels file {path}: {exc!r}") \
-                from exc
-        if not 0 <= k < len(labels) or labels[k] is not None:
-            raise ValidationError(
-                f"labels file {path}: k = {k} is out of range or repeated")
-        labels[k] = label
-    if None in labels:
-        raise ValidationError(
-            f"labels file {path} has no label for k = {labels.index(None)}")
-    return labels
-
-
-# ---------------------------------------------------------------- bundle io
-
-def save_bundle(path, window, decomp: StreamDecomposition, model: OcsvmModel,
-                snapshot, config: AdvisorConfig, lr_params, meta=None):
-    f = decomp.factors
-    st = decomp.state
-    payload = {
-        "window": window,
-        "rank": f.rank,
-        "kind": decomp.kind.value,
-        "factors": {"a": to_hex(f.a), "b": to_hex(f.b), "c": to_hex(f.c)},
-        "state": {
-            "vel_a": to_hex(st.vel_a), "vel_b": to_hex(st.vel_b),
-            "vel_c": to_hex(st.vel_c),
-            "friction": to_hex(st.friction),
-            "perturb_sigma": to_hex(st.perturb_sigma),
-            "l1_beta": to_hex(st.l1_beta),
-            "step": st.step, "rng_seed": st.rng_seed,
-            "rng_state": st.rng.bit_generator.state,
-            "lr": {"a": to_hex(lr_params[0]), "b": to_hex(lr_params[1])},
-        },
-        "model": model.to_dict(),
-        "snapshot": {"b": to_hex(snapshot.b_matrix),
-                     "knn": to_hex(snapshot.knn_scores)},
-        "config": {
-            "k_neighbors": config.k_neighbors,
-            "gamma_change": to_hex(config.gamma_change),
-            "confidence": to_hex(config.confidence),
-            "update_policy": config.update_policy.value,
-            "threshold": to_hex(config.threshold),
-        },
-        "meta": meta or {},
-    }
-    with _writing(path, "bundle") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bundle(path, window_slices):
-    """(window, decomp, model, snapshot, config) from a bundle file.
-
-    An unreadable file is an IoError; anything that is not a well-formed
-    bundle is a ValidationError.
-    """
-    with _reading(path, "bundle") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"bundle {path} is not JSON: {exc}") \
-                from exc
-    try:
-        f = KruskalFactors(from_hex(payload["factors"]["a"]),
-                           from_hex(payload["factors"]["b"]),
-                           from_hex(payload["factors"]["c"]))
-        sp = payload["state"]
-        state = NesgdState(
-            vel_a=from_hex(sp["vel_a"]),
-            vel_b=from_hex(sp["vel_b"]),
-            vel_c=from_hex(sp["vel_c"]),
-            friction=from_hex(sp["friction"]),
-            lr=LrSchedule(from_hex(sp["lr"]["a"]), from_hex(sp["lr"]["b"])),
-            perturb_sigma=from_hex(sp["perturb_sigma"]),
-            l1_beta=from_hex(sp["l1_beta"]),
-            step=sp["step"],
-            rng_seed=sp["rng_seed"],
-        )
-        state.rng.bit_generator.state = sp["rng_state"]
-        decomp = StreamDecomposition(f, state, OptimizerKind(payload["kind"]),
-                                     list(window_slices))
-        model = OcsvmModel.from_dict(payload["model"])
-        snapshot = advisor.LocationSnapshot(
-            from_hex(payload["snapshot"]["b"]),
-            from_hex(payload["snapshot"]["knn"]),
-        )
-        cp = payload["config"]
-        config = AdvisorConfig(
-            k_neighbors=cp["k_neighbors"],
-            gamma_change=from_hex(cp["gamma_change"]),
-            confidence=from_hex(cp["confidence"]),
-            update_policy=UpdatePolicy(cp["update_policy"]),
-            threshold=from_hex(cp["threshold"]),
-        )
-        window = int(payload["window"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed bundle {path}: {exc!r}") from exc
-    return window, decomp, model, snapshot, config
 
 
 # ----------------------------------------------------------------- metrics
@@ -199,7 +59,8 @@ def load_bundle(path, window_slices):
 def compute_metrics(verdict_rows, labels, far_window=100):
     """Windowed false-alarm rates plus overall detection rate.
 
-    ``verdict_rows`` are dicts with absolute time index "t" and "action".
+    ``verdict_rows`` are dicts with absolute time index "t" (an int) and
+    "action"; a ``t`` outside the labels is a ValidationError.
     """
     if far_window < 1:
         raise ValidationError(f"far window {far_window} must be >= 1")
@@ -207,7 +68,10 @@ def compute_metrics(verdict_rows, labels, far_window=100):
     healthy_hits = anomalies = detected = 0
     win_healthy = win_false = 0
     for idx, row in enumerate(verdict_rows):
-        label = labels[int(row["t"])]
+        if not 0 <= row["t"] < len(labels):
+            raise ValidationError(
+                f"verdict t = {row['t']} has no label (0..{len(labels) - 1})")
+        label = labels[row["t"]]
         reported = row["action"] == Action.REPORT_ANOMALY.value
         if label == synth.LABEL_ANOMALY:
             anomalies += 1
@@ -255,22 +119,7 @@ def cmd_synth(args):
     tensor, labels, _ = synth.generate(spec)
     save_tensor_csv(tensor, args.out)
     write_labels(labels_path(args.out), labels)
-    meta = {
-        "dims": list(spec.dims), "rank_true": spec.rank_true,
-        "seed": spec.seed, "noise_sigma": spec.noise_sigma,
-        "drift": None if drift is None else {
-            "start_k": drift.start_k, "mu_shift": drift.mu_shift,
-            "sigma_scale": drift.sigma_scale,
-            "locations": drift.locations},
-        "anomalies": None if anomalies is None else {
-            "time_steps": anomalies.time_steps,
-            "location": anomalies.location,
-            "mu_shift": anomalies.mu_shift,
-            "sigma_scale": anomalies.sigma_scale},
-    }
-    with _writing(args.out.rsplit(".", 1)[0] + ".meta.json", "meta") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(sibling(args.out, ".meta.json"), "meta", asdict(spec))
     return 0
 
 
@@ -313,20 +162,15 @@ def cmd_bench(args):
                          perturb_sigma=args.perturb_sigma,
                          l1_beta=args.l1_beta)
     traces = run_benchmark(tensor, args.rank, kinds, opts, args.rmse_every)
-    with _writing(args.out, "traces") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "rmse", "optimizer"])
-        for kind in kinds:
-            for step, value in traces[kind]:
-                w.writerow([step, repr(value), kind.value])
+    write_traces(args.out, kinds, traces)
     return 0
 
 
 def cmd_train(args):
     tensor = load_tensor_csv(args.tensor)
     k_n = tensor.dims[2]
-    if args.window > k_n:
-        raise ValidationError(f"window {args.window} exceeds K = {k_n}")
+    if not 1 <= args.window <= k_n:
+        raise ValidationError(f"window {args.window} is not in 1..K = {k_n}")
     window = DenseTensor3(tensor.data[:, :, : args.window])
     lr = LrSchedule.for_slices(tensor.dims, args.lr_b) if args.lr_a <= 0 \
         else LrSchedule(args.lr_a, args.lr_b)
@@ -387,36 +231,19 @@ def cmd_stream(args):
             "g_advised": verdict.g_advised, "action": verdict.action.value,
         })
     runtime_ms = int(1000 * (time.monotonic() - started))
-    with _writing(args.verdicts, "verdicts") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "g_raw", "p_env", "g_advised", "action"])
-        for row in rows:
-            w.writerow([row["t"], repr(row["g_raw"]), repr(row["p_env"]),
-                        repr(row["g_advised"]), row["action"]])
+    write_verdicts(args.verdicts, rows)
     if args.migrations:
-        with _writing(args.migrations, "migrations") as fh:
-            for ev in state.migration_log:
-                fh.write(json.dumps(ev, sort_keys=True))
-                fh.write("\n")
+        write_migrations(args.migrations, state.migration_log)
     if labels is not None and args.metrics:
-        metrics = compute_metrics(rows, labels, args.far_window)
-        with _writing(args.metrics, "metrics") as fh:
-            json.dump(metrics, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.metrics, "metrics",
+                   compute_metrics(rows, labels, args.far_window))
     print(f"streamed {len(rows)} events in {runtime_ms} ms", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args):
-    with _reading(args.verdicts, "verdicts") as fh:
-        rows = list(csv.DictReader(fh))
-    labels = read_labels(args.labels)
-    try:
-        metrics = compute_metrics(rows, labels, args.far_window)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(
-            f"verdicts {args.verdicts} do not match the labels: {exc!r}") \
-            from exc
+    rows = read_verdicts(args.verdicts)
+    metrics = compute_metrics(rows, read_labels(args.labels), args.far_window)
     json.dump(metrics, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0

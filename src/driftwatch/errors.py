@@ -8,9 +8,8 @@ failures to exit codes without string matching on messages.
 class DriftwatchError(Exception):
     code = "error"
 
-    def __init__(self, message="", **context):
+    def __init__(self, message=""):
         super().__init__(message or self.code)
-        self.context = context
 
 
 class ValidationError(DriftwatchError):

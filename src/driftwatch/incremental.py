@@ -61,13 +61,6 @@ class MigrationEvent:
     to_set: str
     delta_alpha_c: float
 
-    def as_dict(self):
-        return {
-            "case_id": self.case_id, "index": self.index,
-            "from_set": self.from_set, "to_set": self.to_set,
-            "delta_alpha_c": self.delta_alpha_c,
-        }
-
 
 def build_system(kmat, s_order) -> BorderedSystem:
     """Direct inverse of the assembled bordered system."""

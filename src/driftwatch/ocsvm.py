@@ -15,7 +15,6 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .tensor import from_hex, to_hex
 
 KKT_TOL = 1e-6
 # well below 1e-9, so no margin point is left scoring like an outlier
@@ -35,6 +34,17 @@ class KernelSpec:
             raise ValidationError("rbf sigma must be > 0")
 
 
+def sq_distances(x, y) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and y, as
+    ||x||^2 + ||y||^2 - 2 x.y clipped at 0 against rounding."""
+    d2 = (
+        np.sum(x**2, axis=1)[:, None]
+        + np.sum(y**2, axis=1)[None, :]
+        - 2.0 * (x @ y.T)
+    )
+    return np.maximum(d2, 0.0)
+
+
 def kernel_matrix(k: KernelSpec, x, y=None) -> np.ndarray:
     """Gram matrix between the rows of x and y (y defaults to x)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -43,24 +53,13 @@ def kernel_matrix(k: KernelSpec, x, y=None) -> np.ndarray:
         raise ShapeMismatchError(f"dim mismatch {x.shape[1]} != {y.shape[1]}")
     if k.kind == "linear":
         return x @ y.T
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * k.sigma**2))
+    return np.exp(-sq_distances(x, y) / (2.0 * k.sigma**2))
 
 
 def median_pairwise_sigma(x) -> float:
     """Median pairwise Euclidean distance bandwidth heuristic."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(x**2, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    dists = np.sqrt(np.maximum(d2[np.triu_indices(n, 1)], 0.0))
+    dists = np.sqrt(sq_distances(x, x)[np.triu_indices(x.shape[0], 1)])
     med = float(np.median(dists)) if dists.size else 1.0
     return med if med > 0 else 1.0
 
@@ -85,13 +84,6 @@ class OcsvmModel:
     def c_bound(self):
         return 1.0 / (self.nu * self.n)
 
-    def copy(self):
-        return OcsvmModel(self.x.copy(), self.alpha.copy(), self.rho,
-                          self.nu, self.kernel)
-
-    def gram(self):
-        return kernel_matrix(self.kernel, self.x)
-
     def decision_values(self, points) -> np.ndarray:
         # rows with alpha = 0 add nothing to g, so only the support vectors
         # are evaluated; they are found per call, since alpha is public
@@ -101,24 +93,6 @@ class OcsvmModel:
 
     def training_decision_values(self) -> np.ndarray:
         return self.decision_values(self.x)
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload with every float stored as exact hex."""
-        return {
-            "nu": to_hex(self.nu),
-            "kernel": {"kind": self.kernel.kind,
-                       "sigma": to_hex(self.kernel.sigma)},
-            "alpha": to_hex(self.alpha),
-            "rho": to_hex(self.rho),
-            "train_x": to_hex(self.x),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OcsvmModel":
-        kernel = KernelSpec(payload["kernel"]["kind"],
-                            from_hex(payload["kernel"]["sigma"]))
-        return cls(from_hex(payload["train_x"]), from_hex(payload["alpha"]),
-                   from_hex(payload["rho"]), from_hex(payload["nu"]), kernel)
 
 
 def decision_value(m: OcsvmModel, x) -> float:
@@ -194,8 +168,6 @@ def partition(g, alpha, c_bound, tol: float = KKT_TOL):
     if np.any(err > 0):
         worst = int(np.argmax(err))
         raise KktViolationError(
-            f"index {worst} violates KKT by {err[worst]:.3e}",
-            index=worst, excess=float(err[worst]),
-        )
+            f"index {worst} violates KKT by {err[worst]:.3e}")
     return (np.flatnonzero(margin).tolist(), np.flatnonzero(at_bound).tolist(),
             np.flatnonzero(at_zero).tolist())

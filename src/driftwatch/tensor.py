@@ -5,14 +5,11 @@ of a rank-R model equals ``A @ khatri_rao(C, B).T`` exactly (and the
 symmetric identities for modes 2 and 3).
 """
 
-import csv
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadModeError, IoError, ShapeMismatchError, ValidationError
+from .errors import BadModeError, ShapeMismatchError, ValidationError
 
 
 def _as_finite_array(values, name):
@@ -137,84 +134,3 @@ def rmse(t: DenseTensor3, f: KruskalFactors) -> float:
         raise ShapeMismatchError(f"tensor dims {t.dims} != factor dims {f.dims}")
     resid = t.data - np.einsum("ir,jr,kr->ijk", f.a, f.b, f.c)
     return float(np.sqrt(np.mean(resid**2)))
-
-
-def save_tensor_csv(t: DenseTensor3, path: str) -> None:
-    """Write ``path`` as i,j,k,value rows plus a JSON dims sidecar."""
-    i_n, j_n, k_n = t.dims
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "k", "value"])
-            for k in range(k_n):
-                for j in range(j_n):
-                    for i in range(i_n):
-                        w.writerow([i, j, k, repr(float(t.data[i, j, k]))])
-        with open(_sidecar_path(path), "w") as fh:
-            json.dump({"I": i_n, "J": j_n, "K": k_n}, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write tensor to {path}: {exc}") from exc
-
-
-def _sidecar_path(path: str) -> str:
-    root, _ = os.path.splitext(path)
-    return root + ".dims.json"
-
-
-def load_tensor_csv(path: str) -> DenseTensor3:
-    """Load a tensor written by :func:`save_tensor_csv`.
-
-    Rejects duplicate and missing cells.
-    """
-    try:
-        with open(_sidecar_path(path)) as fh:
-            dims = json.load(fh)
-        i_n, j_n, k_n = int(dims["I"]), int(dims["J"]), int(dims["K"])
-        arr = np.full((i_n, j_n, k_n), np.nan)
-        seen = np.zeros((i_n, j_n, k_n), dtype=bool)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                i, j, k = int(row["i"]), int(row["j"]), int(row["k"])
-                if not (0 <= i < i_n and 0 <= j < j_n and 0 <= k < k_n):
-                    raise ValidationError(f"cell ({i},{j},{k}) out of bounds")
-                if seen[i, j, k]:
-                    raise ValidationError(f"duplicate cell ({i},{j},{k})")
-                seen[i, j, k] = True
-                arr[i, j, k] = float(row["value"])
-    except OSError as exc:
-        raise IoError(f"cannot read tensor from {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
-        raise ValidationError(f"malformed tensor file {path}: {exc}") from exc
-    if not seen.all():
-        raise ValidationError("tensor file is missing cells")
-    return DenseTensor3(arr)
-
-
-_HEX = np.frompyfunc(float.hex, 1, 1)
-_UNHEX = np.frompyfunc(float.fromhex, 1, 1)
-
-
-def to_hex(values):
-    """Exact hex strings of a float, or nested lists of them for an array."""
-    out = _HEX(np.asarray(values, dtype=np.float64))
-    return out.tolist() if isinstance(out, np.ndarray) else out
-
-
-def from_hex(values):
-    """Inverse of :func:`to_hex`: a float, or a float64 array."""
-    if isinstance(values, str):
-        return float.fromhex(values)
-    return _UNHEX(np.array(values, dtype=object)).astype(np.float64)
-
-
-def save_factor_csv(matrix: np.ndarray, path: str) -> None:
-    """Export one factor matrix as a plain CSV of row values."""
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in np.asarray(matrix, dtype=np.float64):
-                w.writerow([repr(float(v)) for v in row])
-    except OSError as exc:
-        raise IoError(f"cannot write factor to {path}: {exc}") from exc

@@ -193,7 +193,8 @@ class TestA4DriftAdaptation:
     def run_policy(self, tensor, labels, decomp, model, policy):
         cfg = AdvisorConfig(k_neighbors=11, gamma_change=4e-3,
                             confidence=0.9, update_policy=policy)
-        state = PipelineState.start(copy.deepcopy(decomp), model.copy(), cfg)
+        state = PipelineState.start(copy.deepcopy(decomp),
+                                    copy.deepcopy(model), cfg)
         actions = []
         for k in range(self.WINDOW, 1000):
             state, v = process_event(state, tensor.slice_at(k))

@@ -3,7 +3,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from driftwatch.cli import main
@@ -64,8 +63,7 @@ class TestSynth:
 
 class TestTrainAndBundle:
     def test_bundle_round_trip_is_exact(self, tmp_path):
-        from driftwatch.cli import load_bundle
-        from driftwatch.tensor import load_tensor_csv
+        from driftwatch.files import load_bundle, load_tensor_csv, save_bundle
 
         tensor_path = tmp_path / "t.csv"
         bundle_path = tmp_path / "bundle.json"
@@ -77,17 +75,15 @@ class TestTrainAndBundle:
         window, decomp, model, snapshot, config = load_bundle(
             str(bundle_path), slices)
         assert window == 30
-        # hex-float serialization must reproduce scores bit-exactly
-        rng = np.random.default_rng(0)
-        probes = rng.standard_normal((10, model.x.shape[1]))
-        g1 = model.decision_values(probes)
-        back = json.loads(bundle_path.read_text())
-        from driftwatch import OcsvmModel
-        model2 = OcsvmModel.from_dict(back["model"])
-        g2 = model2.decision_values(probes)
-        np.testing.assert_array_equal(g1, g2)
         assert config.k_neighbors == 2
         assert config.gamma_change == 0.01
+        # hex floats decode bit-exactly: saving what was loaded gives back
+        # the same file, byte for byte
+        again = tmp_path / "again.json"
+        lr = decomp.state.lr
+        save_bundle(str(again), window, decomp, model, snapshot, config,
+                    (lr.a, lr.b), json.loads(bundle_path.read_text())["meta"])
+        assert again.read_bytes() == bundle_path.read_bytes()
 
     @pytest.mark.parametrize("lr_a,lr_b,want", [
         ("0", "0.003", (4.0 / 30.0, 0.003)),  # auto rate 4/(I*J), I*J = 30
@@ -258,6 +254,8 @@ class TestMalformedInput:
         "unwritable_stream_verdicts", "far_window_zero", "short_labels",
         "negative_label_k", "duplicate_label_k", "missing_label_k",
         "non_numeric_tensor_value", "non_numeric_dims",
+        "negative_train_window", "negative_bundle_window",
+        "negative_verdict_t",
     ])
     def test_exit_code_2(self, tmp_path, case):
         tensor_path = tmp_path / "t.csv"
@@ -297,10 +295,22 @@ class TestMalformedInput:
         elif case == "non_numeric_dims":
             (tmp_path / "t.dims.json").write_text(
                 '{"I": "six", "J": 5, "K": 60}\n')
+        elif case == "negative_bundle_window":
+            payload["window"] = -5
+            bundle.write_text(json.dumps(payload))
         migrations = tmp_path / "m.jsonl"
         if case == "missing_eval_verdicts":
             argv = ["eval", "--verdicts", str(verdicts),
                     "--labels", str(tmp_path / "t.labels.csv")]
+        elif case == "negative_verdict_t":
+            bad = tmp_path / "bad_v.csv"
+            bad.write_text("t,g_raw,p_env,g_advised,action\n"
+                           "-1,0.1,0.0,0.1,report_anomaly\n")
+            argv = ["eval", "--verdicts", str(bad),
+                    "--labels", str(tmp_path / "t.labels.csv")]
+        elif case == "negative_train_window":
+            bundle.unlink()
+            argv = train_args(tensor_path, bundle, window=-20)
         else:
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),
@@ -309,3 +319,5 @@ class TestMalformedInput:
         # bad input is rejected before the stream runs: no partial outputs
         assert not verdicts.exists()
         assert not migrations.exists()
+        if case == "negative_train_window":
+            assert not bundle.exists()

@@ -1,5 +1,8 @@
 """Single-sample insertion against batch retraining and linear-algebra oracles."""
 
+import copy
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +49,7 @@ def candidate_rates(m, x_c):
 class TestBorderedSystem:
     def test_single_member_closed_form(self):
         x, m = make_model(seed=1)
-        kmat = m.gram()
+        kmat = kernel_matrix(m.kernel, m.x)
         sys1 = build_system(kmat, [3])
         k_ss = kmat[3, 3]
         np.testing.assert_allclose(
@@ -60,15 +63,17 @@ class TestBorderedSystem:
     def test_inverse_matches_dense_inverse(self):
         x, m = make_model(seed=2)
         s_idx, _, _ = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
-        q = assembled_q(m.gram(), s_idx)
+        kmat = kernel_matrix(m.kernel, m.x)
+        sys = build_system(kmat, s_idx)
+        q = assembled_q(kmat, s_idx)
         np.testing.assert_allclose(sys.q_inv, np.linalg.inv(q), atol=1e-8)
 
     def test_multiply_back_gives_identity(self):
         x, m = make_model(seed=3)
         s_idx, _, _ = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
-        q = assembled_q(m.gram(), s_idx)
+        kmat = kernel_matrix(m.kernel, m.x)
+        sys = build_system(kmat, s_idx)
+        q = assembled_q(kmat, s_idx)
         np.testing.assert_allclose(
             q @ sys.q_inv, np.eye(len(s_idx) + 1), atol=1e-8
         )
@@ -76,21 +81,23 @@ class TestBorderedSystem:
     def test_expand_then_shrink_round_trip(self):
         x, m = make_model(seed=4)
         s_idx, e_idx, r_idx = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
+        kmat = kernel_matrix(m.kernel, m.x)
+        sys = build_system(kmat, s_idx)
         extra = (e_idx + r_idx)[0]
-        grown = _expand(sys, m.gram(), extra)
+        grown = _expand(sys, kmat, extra)
         assert grown.s_order == s_idx + [extra]
-        back = _shrink(grown, m.gram(), extra)
+        back = _shrink(grown, kmat, extra)
         assert back.s_order == s_idx
         np.testing.assert_allclose(back.q_inv, sys.q_inv, atol=1e-8)
 
     def test_expand_matches_direct_build(self):
         x, m = make_model(seed=5)
         s_idx, e_idx, r_idx = kkt_partition(m)
-        sys = build_system(m.gram(), s_idx)
+        kmat = kernel_matrix(m.kernel, m.x)
+        sys = build_system(kmat, s_idx)
         extra = (e_idx + r_idx)[-1]
-        grown = _expand(sys, m.gram(), extra)
-        direct = build_system(m.gram(), s_idx + [extra])
+        grown = _expand(sys, kmat, extra)
+        direct = build_system(kmat, s_idx + [extra])
         np.testing.assert_allclose(grown.q_inv, direct.q_inv, atol=1e-8)
 
 
@@ -106,15 +113,16 @@ class TestSensitivities:
         x_c = np.array([0.5, 0.1])
         sys, beta, _ = candidate_rates(m, x_c)
         delta = 1e-4
-        probe = m.copy()
+        probe = copy.deepcopy(m)
+        kmat = kernel_matrix(probe.kernel, probe.x)
         k_col = kernel_matrix(m.kernel, m.x, np.atleast_2d(x_c))[:, 0]
-        f = probe.gram() @ probe.alpha + delta * k_col
+        f = kmat @ probe.alpha + delta * k_col
         alpha_s = probe.alpha[sys.s_order] + delta * beta[1:]
         rho = probe.rho - delta * beta[0]
         g_margin = (f[sys.s_order]
-                    + probe.gram()[np.ix_(sys.s_order, sys.s_order)]
+                    + kmat[np.ix_(sys.s_order, sys.s_order)]
                     @ (alpha_s - probe.alpha[sys.s_order]) - rho)
-        g_before = (probe.gram() @ probe.alpha - probe.rho)[sys.s_order]
+        g_before = (kmat @ probe.alpha - probe.rho)[sys.s_order]
         # the step must not move the margin values at all
         np.testing.assert_allclose(g_margin, g_before, atol=1e-10)
 
@@ -127,7 +135,7 @@ class TestSensitivities:
         delta = 1e-6
         k_col = kernel_matrix(m.kernel, np.vstack([m.x, x_c]),
                               np.atleast_2d(x_c))[:, 0]
-        kmat = m.gram()
+        kmat = kernel_matrix(m.kernel, m.x)
         for i in others:
             g0 = kmat[i] @ m.alpha - m.rho
             g1 = (kmat[i] @ m.alpha
@@ -205,7 +213,7 @@ class TestAddSample:
         x, m = make_model(seed=15)
         _, events = add_sample(m, np.array([2.0, 2.0]))
         for ev in events:
-            d = ev.as_dict()
+            d = asdict(ev)
             assert set(d) == {"case_id", "index", "from_set", "to_set",
                               "delta_alpha_c"}
             assert d["case_id"] in (1, 2, 3, 4, 5)
