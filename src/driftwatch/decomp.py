@@ -120,14 +120,17 @@ def _slice_gradients(slice_ij, a, b, c_row, with_c):
 def _check_finite(*mats):
     for m in mats:
         # one reduction; a NaN fails the comparison, so it raises too
-        if not np.abs(m).max() <= OVERFLOW_LIMIT:
+        if m is not None and not np.abs(m).max() <= OVERFLOW_LIMIT:
             raise DivergedError("factor entries exceeded the overflow limit")
 
 
-def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
-    """One momentum step on (A, B[, C row]) from a single frontal slice.
+def _apply_step(w, vel, slice_ij, c_new, state, kind):
+    """One momentum step on the block ``w`` from a single frontal slice.
 
-    Every kind takes the same step on each matrix w with velocity vel:
+    In the window fit ``w`` stacks [A; B; C row] (I+J+1 rows) and ``c_new``
+    is None. Online it stacks [A; B] (I+J rows) and the C row is held at
+    ``c_new``: its direction is not computed. ``vel`` is the velocity block
+    of the same shape. Every kind takes one step on the whole block:
 
         vel <- gamma*vel + (1 - gamma)*g
         w   <- w + eta*vel + N(0, sigma^2) - beta*sign(w)
@@ -135,16 +138,14 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
     with the direction g taken at the look-ahead point w + gamma*eta*vel.
     SGD has gamma = beta = sigma = 0, PSGD adds sigma = perturb_sigma*eta,
     and NESGD also uses gamma = friction and beta = l1_beta. Noise is drawn
-    only when sigma != 0, for A, B and the C row in that order.
+    only when sigma != 0, in one draw of the block's shape.
 
-    ``vel_c_row`` None holds the C row fixed: its direction is neither
-    computed nor applied. Returns ``(a, b, c_row), (vel_a, vel_b,
-    vel_c_row)`` as new arrays and mutates none of its inputs, so a step
-    that raises ``DivergedError`` leaves the velocities as they were. Its
-    noise draws advance ``state.rng``; rewinding that on failure, and the
-    step-counter increment, are the caller's.
+    Returns the new ``(w, vel)`` and mutates neither input. A step whose
+    block, or ``c_new``, leaves the overflow limit raises ``DivergedError``
+    with ``state.rng`` rewound, so it changes nothing; the step-counter
+    increment is the caller's.
     """
-    update_c = vel_c_row is not None
+    i_n, j_n = slice_ij.shape
     eta = state.lr(state.step)
     nesgd = kind is OptimizerKind.NESGD
     gamma = state.friction if nesgd else 0.0
@@ -156,25 +157,23 @@ def _apply_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state, kind):
     # is an exponential average of raw gradients, so an unscaled w+gamma*vel
     # probe point sits O(|grad|) away from w and destabilizes the step.
     look = gamma * eta
+    probe = w + look * vel
+    with_c = c_new is None
     g_a, g_b, g_c = _slice_gradients(
-        slice_ij,
-        a + look * vel_a,
-        b + look * vel_b,
-        c_row + look * vel_c_row if update_c else c_row,
-        update_c,
+        slice_ij, probe[:i_n], probe[i_n:i_n + j_n],
+        probe[-1] if with_c else c_new, with_c,
     )
-
-    def step(w, vel, g):
-        vel = gamma * vel + (1.0 - gamma) * g
-        noise = 0.0 if sigma == 0.0 else state.rng.normal(0.0, sigma, w.shape)
-        return w + eta * vel + noise - beta * np.sign(w), vel
-
-    a, vel_a = step(a, vel_a, g_a)
-    b, vel_b = step(b, vel_b, g_b)
-    if update_c:
-        c_row, vel_c_row = step(c_row, vel_c_row, g_c)
-    _check_finite(a, b, c_row)
-    return (a, b, c_row), (vel_a, vel_b, vel_c_row)
+    g = np.concatenate((g_a, g_b, g_c[None]) if with_c else (g_a, g_b))
+    vel = gamma * vel + (1.0 - gamma) * g
+    rng_state = state.rng.bit_generator.state
+    noise = 0.0 if sigma == 0.0 else state.rng.normal(0.0, sigma, w.shape)
+    w = w + eta * vel + noise - beta * np.sign(w)
+    try:
+        _check_finite(w, c_new)
+    except DivergedError:
+        state.rng.bit_generator.state = rng_state
+        raise
+    return w, vel
 
 
 @dataclass
@@ -237,18 +236,22 @@ def _window_copy(t: DenseTensor3):
 def _step_slices(window, a, b, c, state, kind, ks):
     """One ``_apply_step`` on the view ``window[k]`` for each k of ``ks``.
 
-    Returns the new (A, B); row k of ``c`` and of ``state.vel_c`` is
-    updated in place. A step that raises ``DivergedError`` changes none of
-    them, so they hold what the steps before it left.
+    The steps run on the block [A; B; C row], whose last row is loaded from
+    row k of ``c`` (and of ``state.vel_c``) before each step and stored back
+    after it. Returns the new (A, B); row k of ``c`` and of ``state.vel_c``
+    is updated in place. A step that raises ``DivergedError`` changes none
+    of them, so they hold what the steps before it left.
     """
-    vel_c = state.vel_c
+    i_n, vel_c = a.shape[0], state.vel_c
+    w = np.concatenate((a, b, c[:1]))
+    vel = np.concatenate((state.vel_a, state.vel_b, vel_c[:1]))
     for k in ks:
-        (a, b, c[k]), (state.vel_a, state.vel_b, vel_c[k]) = _apply_step(
-            a, b, c[k], state.vel_a, state.vel_b, vel_c[k], window[k],
-            state, kind,
-        )
+        w[-1], vel[-1] = c[k], vel_c[k]
+        w, vel = _apply_step(w, vel, window[k], None, state, kind)
+        c[k], vel_c[k] = w[-1], vel[-1]
+        state.vel_a, state.vel_b = vel[:i_n], vel[i_n:-1]
         state.step += 1
-    return a, b
+    return w[:i_n], w[i_n:-1]
 
 
 def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
@@ -303,16 +306,10 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     c_new = np.linalg.solve(gram, np.sum(f.a * (slice_ij @ f.b), axis=0))
 
     state = d.state
-    rng_state = state.rng.bit_generator.state
-    try:
-        (a, b, _), (vel_a, vel_b, _) = _apply_step(
-            f.a, f.b, c_new, state.vel_a, state.vel_b, None,
-            slice_ij, state, d.kind,
-        )
-    except DivergedError:
-        state.rng.bit_generator.state = rng_state
-        raise
-    state.vel_a, state.vel_b = vel_a, vel_b
+    w, vel = _apply_step(np.concatenate((f.a, f.b)),
+                         np.concatenate((state.vel_a, state.vel_b)),
+                         slice_ij, c_new, state, d.kind)
+    state.vel_a, state.vel_b = vel[:i_n], vel[i_n:]
     state.step += 1
-    d.factors = KruskalFactors.from_checked(a, b, f.c)
+    d.factors = KruskalFactors.from_checked(w[:i_n], w[i_n:], f.c)
     return d, c_new

@@ -31,6 +31,7 @@ from driftwatch.decomp import (
     RIDGE,
     _apply_step,
     _slice_gradients,
+    _step_slices,
     _window_rmse,
     cp_gradient,
 )
@@ -39,24 +40,58 @@ from driftwatch.tensor import unfold
 RNG = np.random.default_rng(77)
 
 
+def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
+                   kind):
+    """The momentum step taken matrix by matrix: A, B and (unless
+    ``vel_c_row`` is None) the C row, each with its own velocity and its own
+    noise draw, in that order, and the C-row direction as an einsum."""
+    update_c = vel_c_row is not None
+    eta = state.lr(state.step)
+    nesgd = kind is OptimizerKind.NESGD
+    gamma = state.friction if nesgd else 0.0
+    beta = state.l1_beta if nesgd else 0.0
+    sigma = 0.0 if kind is OptimizerKind.SGD else state.perturb_sigma * eta
+    look = gamma * eta
+    a_la, b_la = a + look * vel_a, b + look * vel_b
+    c_la = c_row + look * vel_c_row if update_c else c_row
+    resid = slice_ij - (a_la * c_la) @ b_la.T
+    g_a = resid @ (b_la * c_la)
+    g_b = resid.T @ (a_la * c_la)
+
+    def step(w, vel, g):
+        vel = gamma * vel + (1.0 - gamma) * g
+        noise = 0.0 if sigma == 0.0 else state.rng.normal(0.0, sigma, w.shape)
+        return w + eta * vel + noise - beta * np.sign(w), vel
+
+    a, vel_a = step(a, vel_a, g_a)
+    b, vel_b = step(b, vel_b, g_b)
+    if update_c:
+        g_c = np.einsum("ij,ir,jr->r", resid, a_la, b_la)
+        c_row, vel_c_row = step(c_row, vel_c_row, g_c)
+    return (a, b, c_row), (vel_a, vel_b, vel_c_row)
+
+
 def sgd_sweep(t, f, state, kind, sample_k):
-    """Reference step: one ``_apply_step`` driven by frontal slice
-    ``sample_k``, on a fresh copy of C and factors validated again."""
+    """Reference step: one ``_apply_step`` on the block [A; B; C row]
+    driven by frontal slice ``sample_k``, on a fresh copy of C and factors
+    validated again."""
     if not 0 <= sample_k < t.dims[2]:
         raise ValidationError(f"sample_k {sample_k} out of range")
     if state.vel_a.shape != f.a.shape or state.vel_b.shape != f.b.shape \
             or state.vel_c.shape != f.c.shape:
         raise ShapeMismatchError("velocity shapes do not match the factors")
-    (a, b, c_row), (vel_a, vel_b, vel_c_row) = _apply_step(
-        f.a, f.b, f.c[sample_k], state.vel_a, state.vel_b,
-        state.vel_c[sample_k], t.slice_at(sample_k), state, kind,
+    i_n, j_n = f.a.shape[0], f.b.shape[0]
+    w, vel = _apply_step(
+        np.vstack((f.a, f.b, f.c[sample_k])),
+        np.vstack((state.vel_a, state.vel_b, state.vel_c[sample_k])),
+        t.slice_at(sample_k), None, state, kind,
     )
     c = f.c.copy()
-    c[sample_k] = c_row
-    state.vel_a, state.vel_b = vel_a, vel_b
-    state.vel_c[sample_k] = vel_c_row
+    c[sample_k] = w[-1]
+    state.vel_a, state.vel_b = vel[:i_n], vel[i_n:i_n + j_n]
+    state.vel_c[sample_k] = vel[-1]
     state.step += 1
-    return KruskalFactors(a, b, c), state
+    return KruskalFactors(w[:i_n], w[i_n:i_n + j_n], c), state
 
 
 def fd_direction(t, f, mode, h=1e-6):
@@ -233,6 +268,105 @@ class TestSgdSweep:
         f2, _ = sgd_sweep(t, f, NesgdState.zeros(t.dims, 2, **kw),
                           OptimizerKind.NESGD, 1)
         assert np.abs(f1.a - f2.a).max() == 0.0
+
+
+class TestBlockStep:
+    """``_apply_step`` on the stacked block against ``reference_step``."""
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    @pytest.mark.parametrize("with_c", [True, False])
+    def test_matches_reference_step(self, kind, friction, with_c):
+        rng = np.random.default_rng(5)
+        i_n, j_n, rank = 7, 4, 3
+        a, b = rng.uniform(size=(i_n, rank)), rng.uniform(size=(j_n, rank))
+        c_row = rng.uniform(size=rank)
+        vel_a, vel_b, vel_c = (rng.standard_normal(m.shape)
+                               for m in (a, b, c_row))
+        slice_ij = rng.uniform(size=(i_n, j_n))
+
+        def state():
+            return NesgdState.zeros((i_n, j_n, 1), rank, friction=friction,
+                                    lr=LrSchedule(0.05, 1e-3), step=3,
+                                    rng_seed=8)
+
+        ref, got = state(), state()
+        (ra, rb, rc), (rva, rvb, rvc) = reference_step(
+            a, b, c_row, vel_a, vel_b, vel_c if with_c else None, slice_ij,
+            ref, kind)
+        if with_c:
+            w, vel = _apply_step(np.vstack((a, b, c_row)),
+                                 np.vstack((vel_a, vel_b, vel_c)),
+                                 slice_ij, None, got, kind)
+        else:
+            w, vel = _apply_step(np.vstack((a, b)), np.vstack((vel_a, vel_b)),
+                                 slice_ij, c_row, got, kind)
+        assert w.shape == vel.shape == (i_n + j_n + with_c, rank)
+        for x, y in ((w[:i_n], ra), (w[i_n:i_n + j_n], rb),
+                     (vel[:i_n], rva), (vel[i_n:i_n + j_n], rvb)):
+            assert np.array_equal(x, y)
+        assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+        if with_c:
+            for x, y in ((w[-1], rc), (vel[-1], rvc)):
+                assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
+
+
+class TestDivergedStep:
+    """A step that overflows raises and leaves every piece of state as it
+    was. The slice is A diag(c) B^T with |c| of about 1e13."""
+
+    I_N, J_N, RANK = 6, 5, 2
+    C_BIG = np.array([3e13, 2e13])
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.a = rng.uniform(size=(self.I_N, self.RANK))
+        self.b = rng.uniform(size=(self.J_N, self.RANK))
+        self.slice_ij = (self.a * self.C_BIG) @ self.b.T
+
+    @staticmethod
+    def snapshot(state):
+        return ([m.copy() for m in (state.vel_a, state.vel_b, state.vel_c)],
+                state.rng.bit_generator.state, state.step)
+
+    @staticmethod
+    def assert_unchanged(state, before):
+        vels, rng_state, step = before
+        for got, want in zip((state.vel_a, state.vel_b, state.vel_c), vels):
+            assert np.array_equal(got, want)
+        assert state.rng.bit_generator.state == rng_state
+        assert state.step == step
+
+    def test_window_fit_step_overflowing_only_in_the_c_row(self):
+        # row k of C is 0, so the A and B directions vanish and only the
+        # C row leaves the overflow limit
+        k_n = 3
+        c = np.random.default_rng(13).uniform(size=(k_n, self.RANK))
+        c[1] = 0.0
+        window = np.stack([self.slice_ij] * k_n)
+        state = NesgdState.zeros((self.I_N, self.J_N, k_n), self.RANK,
+                                 friction=0.0, lr=LrSchedule(0.1, 0.0),
+                                 rng_seed=3)
+        a, b, c_before = self.a.copy(), self.b.copy(), c.copy()
+        before = self.snapshot(state)
+        with pytest.raises(DivergedError):
+            _step_slices(window, a, b, c, state, OptimizerKind.NESGD, [1])
+        for got, want in ((a, self.a), (b, self.b), (c, c_before)):
+            assert np.array_equal(got, want)
+        self.assert_unchanged(state, before)
+
+    def test_online_step_overflowing_only_in_c_new(self):
+        # the slice is fitted exactly, so A and B barely move while the new
+        # temporal row itself is about 1e13
+        f = KruskalFactors(self.a, self.b, np.ones((4, self.RANK)))
+        state = NesgdState.zeros((self.I_N, self.J_N, 4), self.RANK,
+                                 lr=LrSchedule(1e-6, 0.0), rng_seed=3)
+        d = StreamDecomposition(f, state, OptimizerKind.NESGD, [])
+        before = self.snapshot(state)
+        with pytest.raises(DivergedError):
+            update_online(d, self.slice_ij)
+        assert d.factors is f
+        self.assert_unchanged(state, before)
 
 
 class TestStream:
