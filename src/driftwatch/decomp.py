@@ -109,11 +109,12 @@ def cp_gradient(x_unfold: np.ndarray, f: KruskalFactors, mode: int) -> np.ndarra
 
 def _slice_gradients(slice_ij, a, b, c_row, with_c):
     """Per-slice contributions to the mode directions for A, B and, when
-    ``with_c``, the C row (None otherwise)."""
+    ``with_c``, the C row (None otherwise); the C row is diag(A^T R B) for
+    the residual R, taken from one BLAS product."""
     resid = slice_ij - (a * c_row) @ b.T
     g_a = resid @ (b * c_row)
     g_b = resid.T @ (a * c_row)
-    g_c = np.einsum("ij,ir,jr->r", resid, a, b) if with_c else None
+    g_c = np.sum(a * (resid @ b), axis=0) if with_c else None
     return g_a, g_b, g_c
 
 
