@@ -12,7 +12,9 @@ The two runs are compared on:
 - the action of every event;
 - the ``(case_id, index)`` sequence of insert migrations;
 - the sha256 of the set-up bundle; when it differs, the JSON paths
-  (``state.vel_a``, ...) that were added, removed or changed are printed;
+  (``state.vel_a``, ...) that were added, removed or changed are printed,
+  each changed path with its largest absolute numeric difference (hex
+  floats decoded);
 - ``final_model_check`` holding on both final models;
 - the final models themselves: the same training size ``n``, and the
   largest |delta alpha| and |delta rho| at most ``G_RAW_TOL``;
@@ -73,10 +75,9 @@ NUMBER = re.compile(r"(-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+"
 
 
 def json_leaves(value, path=""):
-    """{dotted path: sha256 of the JSON text} for every non-object leaf."""
+    """{dotted path: JSON text} for every non-object leaf."""
     if not isinstance(value, dict):
-        text = json.dumps(value, sort_keys=True)
-        return {path: hashlib.sha256(text.encode()).hexdigest()}
+        return {path: json.dumps(value, sort_keys=True)}
     leaves = {}
     for key, item in value.items():
         leaves.update(json_leaves(item, f"{path}.{key}" if path else key))
@@ -84,14 +85,18 @@ def json_leaves(value, path=""):
 
 
 def bundle_diff(parent, change):
-    """Lines naming the bundle paths added, removed or changed."""
+    """Lines naming the bundle paths added or removed, and one line per
+    changed path with its largest absolute numeric difference."""
     old, new = parent["bundle_leaves"], change["bundle_leaves"]
     groups = (("added", sorted(new.keys() - old.keys())),
-              ("removed", sorted(old.keys() - new.keys())),
-              ("changed", sorted(k for k in old.keys() & new.keys()
-                                 if old[k] != new[k])))
-    return [f"    bundle {name}: {', '.join(paths)}"
-            for name, paths in groups if paths]
+              ("removed", sorted(old.keys() - new.keys())))
+    lines = [f"    bundle {name}: {', '.join(paths)}"
+             for name, paths in groups if paths]
+    lines += [f"    bundle changed: {path:24s} "
+              f"max|dnumber| {numeric_diff(old[path], new[path]):.1e}"
+              for path in sorted(old.keys() & new.keys())
+              if old[path] != new[path]]
+    return lines
 
 
 def child_env(checkout):
