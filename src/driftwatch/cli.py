@@ -36,6 +36,7 @@ from .files import (
     labels_path,
     load_bundle,
     load_tensor_csv,
+    parsing,
     read_labels,
     read_verdicts,
     save_bundle,
@@ -103,12 +104,14 @@ def cmd_synth(args):
     if args.drift_start_k is not None:
         locations = "ALL"
         if args.drift_locations and args.drift_locations != "ALL":
-            locations = [int(v) for v in args.drift_locations.split(",")]
+            with parsing("--drift-locations"):
+                locations = [int(v) for v in args.drift_locations.split(",")]
         drift = synth.DriftSpec(args.drift_start_k, args.drift_mu_shift,
                                 args.drift_sigma_scale, locations)
     anomalies = None
     if args.anomaly_steps:
-        steps = [int(v) for v in args.anomaly_steps.split(",")]
+        with parsing("--anomaly-steps"):
+            steps = [int(v) for v in args.anomaly_steps.split(",")]
         anomalies = synth.AnomalySpec(steps, args.anomaly_location,
                                       args.anomaly_mu_shift,
                                       args.anomaly_sigma_scale)
@@ -155,8 +158,9 @@ def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
 
 
 def cmd_bench(args):
+    with parsing("--optimizers"):
+        kinds = [OptimizerKind(v) for v in args.optimizers.split(",")]
     tensor = load_tensor_csv(args.tensor)
-    kinds = [OptimizerKind(v) for v in args.optimizers.split(",")]
     opts = StreamOptions(seed=args.seed, friction=args.friction,
                          lr=LrSchedule(args.lr_a, args.lr_b),
                          perturb_sigma=args.perturb_sigma,
@@ -212,7 +216,8 @@ def cmd_stream(args):
             or decomp.factors.b.shape[0] != tensor.dims[1]:
         raise ShapeMismatchError("bundle factors do not match tensor dims")
     if args.policy:
-        config.update_policy = UpdatePolicy(args.policy)
+        with parsing("--policy"):
+            config.update_policy = UpdatePolicy(args.policy)
     if args.far_window < 1:
         raise ValidationError(f"far window {args.far_window} must be >= 1")
     labels = None

@@ -255,9 +255,11 @@ class TestMalformedInput:
         "negative_label_k", "duplicate_label_k", "missing_label_k",
         "non_numeric_tensor_value", "non_numeric_dims",
         "negative_train_window", "negative_bundle_window",
-        "negative_verdict_t",
+        "negative_verdict_t", "non_numeric_anomaly_steps",
+        "non_numeric_drift_locations", "unknown_bench_optimizer",
+        "unknown_stream_policy",
     ])
-    def test_exit_code_2(self, tmp_path, case):
+    def test_exit_code_2(self, tmp_path, capsys, case):
         tensor_path = tmp_path / "t.csv"
         bundle = tmp_path / "bundle.json"
         run_cli(*synth_args(tensor_path))
@@ -311,13 +313,30 @@ class TestMalformedInput:
         elif case == "negative_train_window":
             bundle.unlink()
             argv = train_args(tensor_path, bundle, window=-20)
+        elif case == "non_numeric_anomaly_steps":
+            argv = synth_args(tmp_path / "s.csv", anomalies="x")
+        elif case == "non_numeric_drift_locations":
+            argv = [*synth_args(tmp_path / "s.csv"), "--drift-start-k", "20",
+                    "--drift-locations", "a"]
+        elif case == "unknown_bench_optimizer":
+            argv = ["bench", "--tensor", str(tensor_path), "--optimizers",
+                    "sgd,foo", "--out", str(tmp_path / "bench.csv")]
+        elif case == "unknown_stream_policy":
+            argv = ["stream", "--bundle", str(bundle),
+                    "--tensor", str(tensor_path), "--verdicts", str(verdicts),
+                    "--migrations", str(migrations), "--policy", "foo"]
         else:
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),
                     "--migrations", str(migrations), *extra]
+        capsys.readouterr()
         assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [")
         # bad input is rejected before the stream runs: no partial outputs
         assert not verdicts.exists()
         assert not migrations.exists()
         if case == "negative_train_window":
             assert not bundle.exists()
+        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "bench.csv").exists()
