@@ -22,7 +22,6 @@ from .decomp import (
     update_online,
 )
 from .errors import (
-    BadModeError,
     DivergedError,
     EmptyStreamError,
     ImmobileError,
@@ -51,7 +50,6 @@ from .tensor import (
     KruskalFactors,
     khatri_rao,
     kruskal_reconstruct,
-    mode_design,
     rmse,
 )
 

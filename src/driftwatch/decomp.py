@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DivergedError, ShapeMismatchError, ValidationError
 # khatri_rao is not called here; the benchmark tracer wraps decomp.khatri_rao
-from .tensor import DenseTensor3, KruskalFactors, khatri_rao, mode_design
+from .tensor import DenseTensor3, KruskalFactors, khatri_rao
 
 OVERFLOW_LIMIT = 1e12
 RIDGE = 1e-10
@@ -93,18 +93,6 @@ def init_factors(dims, rank, seed) -> KruskalFactors:
         rng.uniform(size=(j_n, rank)),
         rng.uniform(size=(k_n, rank)),
     )
-
-
-def cp_gradient(x_unfold: np.ndarray, f: KruskalFactors, mode: int) -> np.ndarray:
-    """Descent direction (X(m) - F_m D^T) D with D the mode-m Khatri-Rao design."""
-    design = mode_design(f, mode)
-    factor = (f.a, f.b, f.c)[mode - 1]
-    x_unfold = np.asarray(x_unfold, dtype=np.float64)
-    if x_unfold.shape != (factor.shape[0], design.shape[0]):
-        raise ShapeMismatchError(
-            f"unfolding shape {x_unfold.shape} does not match mode {mode}"
-        )
-    return (x_unfold - factor @ design.T) @ design
 
 
 def _slice_gradients(slice_ij, a, b, c_row, with_c):

@@ -13,17 +13,13 @@ class DriftwatchError(Exception):
 
 
 class ValidationError(DriftwatchError):
-    """Bad inputs: shapes, modes, parameter ranges, malformed files."""
+    """Bad inputs: shapes, parameter ranges, malformed files."""
 
     code = "validation"
 
 
 class ShapeMismatchError(ValidationError):
     code = "shape-mismatch"
-
-
-class BadModeError(ValidationError):
-    code = "bad-mode"
 
 
 class NuTooSmallError(ValidationError):

@@ -1,15 +1,14 @@
 """Dense 3-way tensor storage and the multilinear primitives built on it.
 
-Unfoldings use the Kolda-Bader column ordering so that the mode-1 unfolding
-of a rank-R model equals ``A @ khatri_rao(C, B).T`` exactly (and the
-symmetric identities for modes 2 and 3).
+No fit step calls ``khatri_rao``: it stays because the benchmark tracer
+counts calls to it and the tests build explicit designs from it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadModeError, ShapeMismatchError, ValidationError
+from .errors import ShapeMismatchError, ValidationError
 
 
 def _as_finite_array(values, name):
@@ -84,23 +83,6 @@ class KruskalFactors:
         return (self.a.shape[0], self.b.shape[0], self.c.shape[0])
 
 
-def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
-    """Mode-m matricization of ``t``.
-
-    mode 1 -> I x (J*K) with column index j + J*k;
-    mode 2 -> J x (I*K) with column index i + I*k;
-    mode 3 -> K x (I*J) with column index i + I*j.
-    """
-    arr = t.data
-    if mode == 1:
-        return arr.reshape(arr.shape[0], -1, order="F")
-    if mode == 2:
-        return np.moveaxis(arr, 1, 0).reshape(arr.shape[1], -1, order="F")
-    if mode == 3:
-        return np.moveaxis(arr, 2, 0).reshape(arr.shape[2], -1, order="F")
-    raise BadModeError(f"mode must be 1, 2 or 3, got {mode!r}")
-
-
 def khatri_rao(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product; column r is kron(p[:, r], q[:, r])."""
     p = np.asarray(p, dtype=np.float64)
@@ -110,17 +92,6 @@ def khatri_rao(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"khatri_rao needs equal column counts, got {p.shape} and {q.shape}"
         )
     return (p[:, None, :] * q[None, :, :]).reshape(-1, p.shape[1])
-
-
-def mode_design(f: KruskalFactors, mode: int) -> np.ndarray:
-    """Khatri-Rao design matrix paired with ``mode`` (C(*)B, C(*)A, B(*)A)."""
-    if mode == 1:
-        return khatri_rao(f.c, f.b)
-    if mode == 2:
-        return khatri_rao(f.c, f.a)
-    if mode == 3:
-        return khatri_rao(f.b, f.a)
-    raise BadModeError(f"mode must be 1, 2 or 3, got {mode!r}")
 
 
 def kruskal_reconstruct(f: KruskalFactors) -> DenseTensor3:

@@ -33,9 +33,7 @@ from driftwatch.decomp import (
     _slice_gradients,
     _step_slices,
     _window_rmse,
-    cp_gradient,
 )
-from driftwatch.tensor import unfold
 
 RNG = np.random.default_rng(77)
 
@@ -115,19 +113,28 @@ def fd_direction(t, f, mode, h=1e-6):
     return -0.5 * out
 
 
+def slice_directions(t, f):
+    """The A, B and C directions of the whole tensor as the optimizers take
+    them: ``_slice_gradients`` summed over the frontal slices for A and B,
+    one C row per slice."""
+    parts = [_slice_gradients(t.slice_at(k), f.a, f.b, f.c[k], True)
+             for k in range(t.dims[2])]
+    return (sum(p[0] for p in parts), sum(p[1] for p in parts),
+            np.array([p[2] for p in parts]))
+
+
 class TestCpGradient:
     def test_zero_residual_gives_zero(self):
         f = init_factors((3, 4, 2), 2, seed=3)
         t = kruskal_reconstruct(f)
-        for mode in (1, 2, 3):
-            g = cp_gradient(unfold(t, mode), f, mode)
+        for g in slice_directions(t, f):
             np.testing.assert_allclose(g, 0.0, atol=1e-10)
 
     def test_scalar_case(self):
         f = KruskalFactors(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
         t = DenseTensor3(np.full((1, 1, 1), 3.0))
-        g = cp_gradient(unfold(t, 1), f, 1)
-        assert g[0, 0] == pytest.approx(2.0)
+        for g in slice_directions(t, f):
+            assert g[0, 0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_finite_difference_oracle(self, mode):
@@ -138,40 +145,10 @@ class TestCpGradient:
             rng.standard_normal((3, 2)),
             rng.standard_normal((2, 2)),
         )
-        analytic = cp_gradient(unfold(t, mode), f, mode)
+        analytic = slice_directions(t, f)[mode - 1]
         numeric = fd_direction(t, f, mode)
         err = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
         assert err <= 1e-5
-
-    def test_shape_mismatch(self):
-        f = init_factors((3, 4, 2), 2, seed=0)
-        with pytest.raises(ShapeMismatchError):
-            cp_gradient(np.zeros((3, 7)), f, 1)
-
-    def test_slice_gradients_match_cp_gradient(self):
-        # the per-slice directions the optimizers use: summed over slices
-        # they are the mode-1 and mode-2 directions, and slice k's C row is
-        # row k of the mode-3 direction
-        rng = np.random.default_rng(101)
-        worst = 0.0
-        for _ in range(20):
-            dims = tuple(int(rng.integers(2, hi + 1)) for hi in (6, 5, 4))
-            rank = int(rng.integers(1, 4))
-            f = KruskalFactors(
-                rng.standard_normal((dims[0], rank)),
-                rng.standard_normal((dims[1], rank)),
-                rng.standard_normal((dims[2], rank)),
-            )
-            t = DenseTensor3(rng.standard_normal(dims))
-            parts = [_slice_gradients(t.slice_at(k), f.a, f.b, f.c[k], True)
-                     for k in range(dims[2])]
-            got = (sum(p[0] for p in parts), sum(p[1] for p in parts),
-                   np.array([p[2] for p in parts]))
-            for mode in (1, 2, 3):
-                want = cp_gradient(unfold(t, mode), f, mode)
-                scale = max(np.abs(want).max(), 1.0)
-                worst = max(worst, np.abs(got[mode - 1] - want).max() / scale)
-        assert worst <= 1e-12
 
 
 class TestSgdSweep:

@@ -1,4 +1,4 @@
-"""Unfolding, Khatri-Rao and reconstruction identities plus CSV round-trips."""
+"""Khatri-Rao and reconstruction identities plus CSV round-trips."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
-    BadModeError,
     DenseTensor3,
     KruskalFactors,
     ShapeMismatchError,
@@ -14,12 +13,10 @@ from driftwatch import (
     khatri_rao,
     kruskal_reconstruct,
     load_tensor_csv,
-    mode_design,
     rmse,
     save_factor_csv,
     save_tensor_csv,
 )
-from driftwatch.tensor import unfold
 
 RNG = np.random.default_rng(1234)
 
@@ -59,41 +56,6 @@ class TestConstruction:
         assert f.dims == (2, 3, 4) and f.rank == 2
         with pytest.raises(ValueError):
             f.b[0, 0] = 2.0
-
-
-class TestUnfold:
-    def test_mode1_example(self):
-        # t[i,j,k] = i + 2j + 4k with dims 2x2x2
-        arr = np.fromfunction(lambda i, j, k: i + 2 * j + 4 * k, (2, 2, 2))
-        out = unfold(DenseTensor3(arr), 1)
-        np.testing.assert_array_equal(out, [[0, 2, 4, 6], [1, 3, 5, 7]])
-
-    def test_same_multiset_all_modes(self):
-        t = DenseTensor3(RNG.standard_normal((3, 4, 5)))
-        vals = np.sort(t.data.ravel())
-        for mode in (1, 2, 3):
-            np.testing.assert_array_equal(np.sort(unfold(t, mode).ravel()), vals)
-
-    def test_rank1_matches_outer_product(self):
-        a = np.array([[1.0], [2.0]])
-        b = np.array([[1.0], [0.0], [1.0]])
-        c = np.array([[3.0], [1.0]])
-        t = kruskal_reconstruct(KruskalFactors(a, b, c))
-        np.testing.assert_allclose(unfold(t, 1), a @ khatri_rao(c, b).T)
-
-    def test_bad_mode(self):
-        t = DenseTensor3(np.zeros((2, 2, 2)))
-        with pytest.raises(BadModeError):
-            unfold(t, 4)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_unfold_matches_design(self, mode):
-        f = random_factors(4, 3, 5, 2)
-        t = kruskal_reconstruct(f)
-        factor = (f.a, f.b, f.c)[mode - 1]
-        np.testing.assert_allclose(
-            unfold(t, mode), factor @ mode_design(f, mode).T, atol=1e-10
-        )
 
 
 class TestKhatriRao:
@@ -163,18 +125,6 @@ class TestReconstructAndRmse:
         f = random_factors(3, 4, 5, 2)
         with pytest.raises(ShapeMismatchError):
             rmse(DenseTensor3(np.zeros((3, 4, 6))), f)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_property_unfold_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        dims = rng.integers(2, 6, size=3)
-        f = random_factors(*dims, rank=int(rng.integers(1, 4)), rng=rng)
-        t = kruskal_reconstruct(f)
-        for mode, factor in ((1, f.a), (2, f.b), (3, f.c)):
-            np.testing.assert_allclose(
-                unfold(t, mode), factor @ mode_design(f, mode).T, atol=1e-10
-            )
 
 
 class TestCsvRoundTrip:
