@@ -20,6 +20,7 @@ from .decomp import (
     decompose_stream_init,
     init_factors,
     update_online,
+    window_rmse,
 )
 from .errors import (
     DivergedError,
@@ -50,7 +51,6 @@ from .tensor import (
     KruskalFactors,
     khatri_rao,
     kruskal_reconstruct,
-    rmse,
 )
 
 __version__ = "0.1.0"

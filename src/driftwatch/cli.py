@@ -18,14 +18,11 @@ from .decomp import (
     LrSchedule,
     OptimizerKind,
     StreamOptions,
-    _step_slices,
-    _window_copy,
-    _window_rmse,
     decompose_stream_init,
-    init_factors,
+    run_benchmark,
+    window_rmse,
 )
 from .errors import (
-    DivergedError,
     EmptyStreamError,
     IoError,
     NumericalError,
@@ -50,7 +47,7 @@ from .files import (
     write_verdicts,
 )
 from .ocsvm import KernelSpec, median_pairwise_sigma, train_batch
-from .tensor import DenseTensor3, rmse
+from .tensor import DenseTensor3
 
 make_lr = LrSchedule  # streambench/pipeline.py calls it by this name
 
@@ -126,37 +123,6 @@ def cmd_synth(args):
     return 0
 
 
-def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
-                  rmse_every=10):
-    """{kind: [(step, rmse), ...]} from one in-order pass over the time mode
-    per optimizer, each from ``init_factors(dims, rank, opts.seed)``.
-
-    The steps are the window fit's, and the RMSE is taken every
-    ``rmse_every`` steps and after the last. A pass that diverges keeps the
-    points recorded before the step that diverged.
-    """
-    if rmse_every < 1:
-        raise ValidationError(f"rmse_every {rmse_every} must be >= 1")
-    window, x_sq = _window_copy(tensor)
-    k_n = tensor.dims[2]
-    traces = {}
-    for kind in kinds:
-        f = init_factors(tensor.dims, rank, opts.seed)
-        a, b, c = f.a, f.b, f.c.copy()
-        state = opts.make_state(tensor.dims, rank)
-        trace = [(0, _window_rmse(window, x_sq, a, b, c))]
-        try:
-            for start in range(0, k_n, rmse_every):
-                stop = min(start + rmse_every, k_n)
-                a, b = _step_slices(window, a, b, c, state, kind,
-                                    range(start, stop))
-                trace.append((stop, _window_rmse(window, x_sq, a, b, c)))
-        except DivergedError:
-            pass  # truncated trace is the recorded outcome
-        traces[kind] = trace
-    return traces
-
-
 def cmd_bench(args):
     with parsing("--optimizers"):
         kinds = [OptimizerKind(v) for v in args.optimizers.split(",")]
@@ -195,8 +161,8 @@ def cmd_train(args):
     )
     snapshot = advisor.LocationSnapshot.capture(decomp.factors.b,
                                                 args.k_neighbors)
-    meta = {"tensor": args.tensor, "train_rmse": repr(rmse(window,
-                                                           decomp.factors))}
+    meta = {"tensor": args.tensor,
+            "train_rmse": repr(window_rmse(window, decomp.factors))}
     save_bundle(args.out, args.window, decomp, model, snapshot, config,
                 (lr.a, lr.b), meta)
     if args.factors_prefix:

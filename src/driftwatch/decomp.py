@@ -222,6 +222,27 @@ def _window_copy(t: DenseTensor3):
     return window, np.vdot(window, window)
 
 
+def window_rmse(t: DenseTensor3, f: KruskalFactors) -> float:
+    """Root mean square error of the CP model ``f`` over all I*J*K cells of
+    ``t``, in the closed form of ``_window_rmse``."""
+    if t.dims != f.dims:
+        raise ShapeMismatchError(
+            f"tensor dims {t.dims} != factor dims {f.dims}")
+    window, x_sq = _window_copy(t)
+    return _window_rmse(window, x_sq, f.a, f.b, f.c)
+
+
+def _fit_start(t: DenseTensor3, rank, opts: StreamOptions):
+    """The start of a window fit and of a benchmark pass: the window copy
+    and its squared norm, the seeded factors A, B and a writable copy of C,
+    a fresh optimizer state and the RMSE of the seeded factors."""
+    window, x_sq = _window_copy(t)
+    f = init_factors(t.dims, rank, opts.seed)
+    a, b, c = f.a, f.b, f.c.copy()
+    state = opts.make_state(t.dims, rank)
+    return window, x_sq, a, b, c, state, _window_rmse(window, x_sq, a, b, c)
+
+
 def _step_slices(window, a, b, c, state, kind, ks):
     """One ``_apply_step`` on the view ``window[k]`` for each k of ``ks``.
 
@@ -252,12 +273,8 @@ def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
     ``opts.tol``. The retained ``slices`` are read-only views of that copy.
     """
     opts = opts or StreamOptions()
-    window, x_sq = _window_copy(t0)
-    f = init_factors(t0.dims, rank, opts.seed)
-    a, b, c = f.a, f.b, f.c.copy()
-    state = opts.make_state(t0.dims, rank)
+    window, x_sq, a, b, c, state, prev_rmse = _fit_start(t0, rank, opts)
     shuffle_rng = np.random.default_rng(opts.seed + 1)
-    prev_rmse = _window_rmse(window, x_sq, a, b, c)
     for _ in range(opts.epochs):
         a, b = _step_slices(window, a, b, c, state, kind,
                             shuffle_rng.permutation(t0.dims[2]))
@@ -267,6 +284,34 @@ def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
         prev_rmse = cur
     return StreamDecomposition(KruskalFactors(a, b, c), state, kind,
                                list(window))
+
+
+def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
+                  rmse_every=10):
+    """{kind: [(step, rmse), ...]} from one in-order pass over the time mode
+    per optimizer, each from ``init_factors(dims, rank, opts.seed)``.
+
+    The steps are the window fit's, and the RMSE is taken every
+    ``rmse_every`` steps and after the last. A pass that diverges keeps the
+    points recorded before the step that diverged.
+    """
+    if rmse_every < 1:
+        raise ValidationError(f"rmse_every {rmse_every} must be >= 1")
+    k_n = tensor.dims[2]
+    traces = {}
+    for kind in kinds:
+        window, x_sq, a, b, c, state, rmse0 = _fit_start(tensor, rank, opts)
+        trace = [(0, rmse0)]
+        try:
+            for start in range(0, k_n, rmse_every):
+                stop = min(start + rmse_every, k_n)
+                a, b = _step_slices(window, a, b, c, state, kind,
+                                    range(start, stop))
+                trace.append((stop, _window_rmse(window, x_sq, a, b, c)))
+        except DivergedError:
+            pass  # truncated trace is the recorded outcome
+        traces[kind] = trace
+    return traces
 
 
 def update_online(d: StreamDecomposition, slice_ij: np.ndarray):

@@ -97,11 +97,3 @@ def khatri_rao(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def kruskal_reconstruct(f: KruskalFactors) -> DenseTensor3:
     """Assemble the dense tensor t[i,j,k] = sum_r A[i,r] B[j,r] C[k,r]."""
     return DenseTensor3(np.einsum("ir,jr,kr->ijk", f.a, f.b, f.c))
-
-
-def rmse(t: DenseTensor3, f: KruskalFactors) -> float:
-    """Root mean square reconstruction error over all I*J*K cells."""
-    if t.dims != f.dims:
-        raise ShapeMismatchError(f"tensor dims {t.dims} != factor dims {f.dims}")
-    resid = t.data - np.einsum("ir,jr,kr->ijk", f.a, f.b, f.c)
-    return float(np.sqrt(np.mean(resid**2)))

@@ -23,19 +23,25 @@ from driftwatch import (
     init_factors,
     khatri_rao,
     kruskal_reconstruct,
-    rmse,
     update_online,
+    window_rmse,
 )
-from driftwatch.cli import run_benchmark
 from driftwatch.decomp import (
     RIDGE,
     _apply_step,
     _slice_gradients,
     _step_slices,
     _window_rmse,
+    run_benchmark,
 )
 
 RNG = np.random.default_rng(77)
+
+
+def rmse(t, f):
+    """Reference RMSE over all I*J*K cells, from the dense model tensor."""
+    resid = t.data - np.einsum("ir,jr,kr->ijk", f.a, f.b, f.c)
+    return float(np.sqrt(np.mean(resid**2)))
 
 
 def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
@@ -529,11 +535,6 @@ class TestBenchTrace:
             run_benchmark(t, 2, [OptimizerKind.SGD], StreamOptions(), 0)
 
 
-def closed_form_rmse(t, f):
-    window = np.moveaxis(t.data, 2, 0)
-    return _window_rmse(window, np.vdot(window, window), f.a, f.b, f.c)
-
-
 class TestWindowFit:
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     @pytest.mark.parametrize("tol,epochs", [(0.0, 6), (1e-3, 60)])
@@ -579,7 +580,7 @@ class TestWindowRmse:
                            rng.standard_normal((j_n, rank)),
                            rng.standard_normal((k_n, rank)))
         want = rmse(t, f)
-        assert abs(closed_form_rmse(t, f) - want) <= 1e-12 * want
+        assert abs(window_rmse(t, f) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_cp_tensor_reads_zero(self, seed):
@@ -590,7 +591,7 @@ class TestWindowRmse:
         f = KruskalFactors(rng.uniform(size=(i_n, rank)),
                            rng.standard_normal((j_n, rank)),
                            rng.uniform(size=(k_n, rank)))
-        assert closed_form_rmse(kruskal_reconstruct(f), f) == 0.0
+        assert window_rmse(kruskal_reconstruct(f), f) == 0.0
 
     def test_zero_window_and_factors_read_zero(self):
         window = np.zeros((3, 4, 5))

@@ -1,4 +1,5 @@
-"""Khatri-Rao and reconstruction identities plus CSV round-trips."""
+"""Khatri-Rao and reconstruction identities, the RMSE of a reconstruction,
+and CSV round-trips."""
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from driftwatch import (
     khatri_rao,
     kruskal_reconstruct,
     load_tensor_csv,
-    rmse,
     save_factor_csv,
     save_tensor_csv,
+    window_rmse,
 )
 
 RNG = np.random.default_rng(1234)
@@ -108,23 +109,24 @@ class TestReconstructAndRmse:
 
     def test_rmse_zero_on_exact(self):
         f = random_factors(3, 4, 5, 2)
-        assert rmse(kruskal_reconstruct(f), f) == 0.0
+        assert window_rmse(kruskal_reconstruct(f), f) == 0.0
 
     def test_rmse_ones_against_zero_factors(self):
         f = KruskalFactors(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
-        assert rmse(DenseTensor3(np.ones((2, 2, 2))), f) == pytest.approx(1.0)
+        t = DenseTensor3(np.ones((2, 2, 2)))
+        assert window_rmse(t, f) == pytest.approx(1.0)
 
     def test_rmse_matches_direct_sum(self):
         f = random_factors(3, 4, 2, 2)
         t = DenseTensor3(RNG.standard_normal((3, 4, 2)))
         resid = t.data - kruskal_reconstruct(f).data
         expected = np.sqrt((resid**2).sum() / resid.size)
-        assert rmse(t, f) == pytest.approx(expected, rel=1e-12)
+        assert window_rmse(t, f) == pytest.approx(expected, rel=1e-12)
 
     def test_rmse_dim_mismatch(self):
         f = random_factors(3, 4, 5, 2)
         with pytest.raises(ShapeMismatchError):
-            rmse(DenseTensor3(np.zeros((3, 4, 6))), f)
+            window_rmse(DenseTensor3(np.zeros((3, 4, 6))), f)
 
 
 class TestCsvRoundTrip:
