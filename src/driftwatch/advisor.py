@@ -24,6 +24,10 @@ from .ocsvm import OcsvmModel, decision_value, sq_distances, train_batch
 
 log = logging.getLogger(__name__)
 
+CALIBRATION_REPLAY = 50
+CALIBRATION_MULTIPLIER = 3.0
+CALIBRATION_SCORE_FLOOR = 0.05
+
 
 class UpdatePolicy(Enum):
     TENSOR_ADVISED = "tensor_advised"
@@ -189,21 +193,20 @@ def process_event(state: PipelineState, slice_ij):
     return state, Verdict(t_idx, g_raw, p_env, g_adv, Action.REPORT_ANOMALY)
 
 
-def calibrate_gamma_change(decomp: StreamDecomposition, k_neighbors: int,
-                           replay: int = 50, multiplier: float = 3.0,
-                           score_floor: float = 0.05) -> float:
+def calibrate_gamma_change(decomp: StreamDecomposition,
+                           k_neighbors: int) -> float:
     """Auto-calibrate the acceptable knn-score change.
 
-    Replays the last ``replay`` window slices through online updates on a
-    throwaway copy and takes ``multiplier`` times the median absolute
-    per-event knn-score change. Replayed slices are already absorbed by the
-    factors, so that jitter underestimates what a single outlying slice
-    induces across all locations (its kick also rides the momentum into the
-    following events); the threshold is therefore floored at ``score_floor``
-    times the median knn score, a fixed fraction of the inter-location
-    distance scale.
+    Replays the last ``CALIBRATION_REPLAY`` window slices through online
+    updates on a throwaway copy and takes ``CALIBRATION_MULTIPLIER`` times
+    the median absolute per-event knn-score change. Replayed slices are
+    already absorbed by the factors, so that jitter underestimates what a
+    single outlying slice induces across all locations (its kick also rides
+    the momentum into the following events); the threshold is therefore
+    floored at ``CALIBRATION_SCORE_FLOOR`` times the median knn score, a
+    fixed fraction of the inter-location distance scale.
     """
-    replay = min(replay, len(decomp.slices))
+    replay = min(CALIBRATION_REPLAY, len(decomp.slices))
     # the factors are immutable; only the optimizer state is stepped in place
     probe = StreamDecomposition(decomp.factors, copy.deepcopy(decomp.state),
                                 decomp.kind, [])
@@ -216,5 +219,5 @@ def calibrate_gamma_change(decomp: StreamDecomposition, k_neighbors: int,
         changes.append(np.abs(cur - prev))
         prev = cur
     med = float(np.median(np.concatenate(changes))) if changes else 0.0
-    floor = score_floor * float(np.median(base))
-    return max(multiplier * med, floor, 1e-9)
+    floor = CALIBRATION_SCORE_FLOOR * float(np.median(base))
+    return max(CALIBRATION_MULTIPLIER * med, floor, 1e-9)

@@ -28,6 +28,12 @@ class LrSchedule:
     a: float
     b: float
 
+    def __post_init__(self):
+        # a negative b makes 1 + b*t reach 0; NaN fails the test too
+        if not (self.a >= 0 and self.b >= 0):
+            raise ValidationError(
+                f"learning rate a = {self.a}, b = {self.b} must be >= 0")
+
     def __call__(self, t) -> float:
         return self.a / (1.0 + self.b * t)
 
@@ -176,6 +182,10 @@ class StreamOptions:
     lr: LrSchedule = None  # None: LrSchedule.for_slices(dims)
     perturb_sigma: float = 1e-3
     l1_beta: float = 1e-4
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValidationError(f"epochs {self.epochs} must be >= 1")
 
     def make_state(self, dims, rank) -> NesgdState:
         lr = LrSchedule.for_slices(dims) if self.lr is None else self.lr

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImmobileError, KktViolationError
+from .errors import ImmobileError, KktViolationError, ValidationError
 from .ocsvm import KKT_TOL, OcsvmModel, kernel_matrix, partition, recover_rho
 
 log = logging.getLogger(__name__)
@@ -322,7 +322,7 @@ def add_sample(m: OcsvmModel, x_c, on_event=None):
     """
     x_c = np.asarray(x_c, dtype=np.float64)
     if not np.all(np.isfinite(x_c)):
-        raise ValueError("candidate vector must be finite")
+        raise ValidationError("candidate vector must be finite")
     events = []
     w = _Working(m, x_c)
     c_new = 1.0 / (m.nu * (m.n + 1))

@@ -320,12 +320,6 @@ class TestCalibration:
         g = calibrate_gamma_change(state.decomp, 2)
         assert g > 0.0
 
-    def test_floor_scales_with_score_floor(self):
-        state, _ = small_pipeline(UpdatePolicy.NONE)
-        lo = calibrate_gamma_change(state.decomp, 2, score_floor=0.01)
-        hi = calibrate_gamma_change(state.decomp, 2, score_floor=10.0)
-        assert hi >= lo
-
     def test_does_not_mutate_decomposition(self):
         state, _ = small_pipeline(UpdatePolicy.NONE)
         before = copy.deepcopy(state.decomp.factors.b)

@@ -257,7 +257,8 @@ class TestMalformedInput:
         "negative_train_window", "negative_bundle_window",
         "negative_verdict_t", "non_numeric_anomaly_steps",
         "non_numeric_drift_locations", "unknown_bench_optimizer",
-        "unknown_stream_policy",
+        "unknown_stream_policy", "negative_bench_lr_b", "negative_train_lr_b",
+        "negative_bundle_lr_b", "train_epochs_below_one",
     ])
     def test_exit_code_2(self, tmp_path, capsys, case):
         tensor_path = tmp_path / "t.csv"
@@ -300,6 +301,9 @@ class TestMalformedInput:
         elif case == "negative_bundle_window":
             payload["window"] = -5
             bundle.write_text(json.dumps(payload))
+        elif case == "negative_bundle_lr_b":
+            payload["state"]["lr"]["b"] = float.hex(-1.0)
+            bundle.write_text(json.dumps(payload))
         migrations = tmp_path / "m.jsonl"
         if case == "missing_eval_verdicts":
             argv = ["eval", "--verdicts", str(verdicts),
@@ -313,6 +317,12 @@ class TestMalformedInput:
         elif case == "negative_train_window":
             bundle.unlink()
             argv = train_args(tensor_path, bundle, window=-20)
+        elif case == "negative_train_lr_b":
+            bundle.unlink()
+            argv = [*train_args(tensor_path, bundle), "--lr-b", "-0.5"]
+        elif case == "train_epochs_below_one":
+            bundle.unlink()
+            argv = [*train_args(tensor_path, bundle), "--epochs", "-3"]
         elif case == "non_numeric_anomaly_steps":
             argv = synth_args(tmp_path / "s.csv", anomalies="x")
         elif case == "non_numeric_drift_locations":
@@ -321,6 +331,9 @@ class TestMalformedInput:
         elif case == "unknown_bench_optimizer":
             argv = ["bench", "--tensor", str(tensor_path), "--optimizers",
                     "sgd,foo", "--out", str(tmp_path / "bench.csv")]
+        elif case == "negative_bench_lr_b":
+            argv = ["bench", "--tensor", str(tensor_path), "--lr-a", "0.02",
+                    "--lr-b", "-1", "--out", str(tmp_path / "bench.csv")]
         elif case == "unknown_stream_policy":
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),
@@ -336,7 +349,8 @@ class TestMalformedInput:
         # bad input is rejected before the stream runs: no partial outputs
         assert not verdicts.exists()
         assert not migrations.exists()
-        if case == "negative_train_window":
+        if case in ("negative_train_window", "negative_train_lr_b",
+                    "train_epochs_below_one"):
             assert not bundle.exists()
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "bench.csv").exists()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from driftwatch import (
     KernelSpec,
     OcsvmModel,
+    ValidationError,
     add_sample,
     kernel_matrix,
     kkt_partition,
@@ -226,7 +227,7 @@ class TestAddSample:
 
     def test_rejects_nonfinite_candidate(self):
         x, m = make_model(seed=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             add_sample(m, np.array([np.nan, 0.0]))
 
     def test_sequential_insertions_track_batch(self):
