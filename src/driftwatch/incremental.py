@@ -17,13 +17,16 @@ the quantity that drives the walk changes between its two legs:
 
 Internally the bias is carried as b = -rho so the bordered margin system
 Q = [[0, 1^T], [1, K_SS]] stays symmetric; sensitivities are reported in
-b-space (beta[0] is db per unit step, so d rho = -beta[0] * step).
+b-space (beta[0] is db per unit step, so d rho = -beta[0] * step). Each
+step of the walk assembles Q from the kernel columns of the current margin
+set S and solves it once; no inverse is carried from step to step, so a
+point joining or leaving S is a list edit. A step whose Q has a 2-norm
+condition number above ``COND_LIMIT`` raises ImmobileError.
 
 An insert evaluates kernel columns only for S, E, the candidate and the
 points recruited into S, on first use, never the whole (n+1)^2 Gram.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +34,12 @@ import numpy as np
 from .errors import ImmobileError, KktViolationError, ValidationError
 from .ocsvm import KKT_TOL, OcsvmModel, kernel_matrix, partition, recover_rho
 
-log = logging.getLogger(__name__)
-
 ZERO_STEP = 1e-14
-PIVOT_TOL = 1e-12
+COND_LIMIT = 1e12  # largest condition number of Q a step may solve
 MAX_EVENTS_PER_POINT = 60
 
 # set each migration case moves a point to; case 3 comes from E or Rv
 _DESTINATION = {1: "E", 2: "Rv", 3: "S", 4: "S", 5: "E"}
-
-
-@dataclass
-class BorderedSystem:
-    """Maintained inverse of the bordered margin system over S."""
-
-    q_inv: np.ndarray  # (|S|+1) x (|S|+1); row/col 0 is the bias variable
-    s_order: list      # training indices matching q_inv rows 1..|S|
-
-    @property
-    def empty(self):
-        return not self.s_order
 
 
 @dataclass
@@ -62,74 +51,27 @@ class MigrationEvent:
     delta_alpha_c: float
 
 
-def build_system(kmat, s_order) -> BorderedSystem:
-    """Direct inverse of the assembled bordered system."""
-    if not s_order:
-        return BorderedSystem(None, [])
-    s = len(s_order)
-    q = np.zeros((s + 1, s + 1))
-    q[0, 1:] = 1.0
-    q[1:, 0] = 1.0
-    q[1:, 1:] = kmat[np.ix_(s_order, s_order)]
-    try:
-        if np.linalg.cond(q) > 1.0 / PIVOT_TOL:
-            raise ImmobileError("margin system is numerically singular")
-        return BorderedSystem(np.linalg.inv(q), list(s_order))
-    except np.linalg.LinAlgError as exc:
-        raise ImmobileError(f"margin system is singular: {exc}") from exc
-
-
-def _expand(sys: BorderedSystem, kmat, new_index) -> BorderedSystem:
-    """Grow the margin set by one index (rank-1 bordered update)."""
-    if sys.empty:
-        k_cc = kmat[new_index, new_index]
-        q_inv = np.array([[-k_cc, 1.0], [1.0, 0.0]])
-        return BorderedSystem(q_inv, [new_index])
-    eta = np.concatenate(([1.0], kmat[sys.s_order, new_index]))
-    q_eta = sys.q_inv @ eta
-    pivot = kmat[new_index, new_index] - eta @ q_eta
-    if abs(pivot) < PIVOT_TOL:
-        log.warning("expand pivot %.3e below tolerance; recomputing inverse",
-                    pivot)
-        return build_system(kmat, sys.s_order + [new_index])
-    s = len(sys.s_order)
-    q_inv = np.zeros((s + 2, s + 2))
-    q_inv[: s + 1, : s + 1] = sys.q_inv + np.outer(q_eta, q_eta) / pivot
-    q_inv[: s + 1, s + 1] = -q_eta / pivot
-    q_inv[s + 1, : s + 1] = -q_eta / pivot
-    q_inv[s + 1, s + 1] = 1.0 / pivot
-    return BorderedSystem(q_inv, sys.s_order + [new_index])
-
-
-def _shrink(sys: BorderedSystem, kmat, leaving_index) -> BorderedSystem:
-    """Remove one index from the margin set (rank-1 downdate)."""
-    pos = sys.s_order.index(leaving_index) + 1  # offset past the bias row
-    keep = [i for i in range(sys.q_inv.shape[0]) if i != pos]
-    new_order = [i for i in sys.s_order if i != leaving_index]
-    if not new_order:
-        return BorderedSystem(None, [])
-    pivot = sys.q_inv[pos, pos]
-    if abs(pivot) < PIVOT_TOL:
-        log.warning("shrink pivot %.3e below tolerance; recomputing inverse",
-                    pivot)
-        return build_system(kmat, new_order)
-    sub = sys.q_inv[np.ix_(keep, keep)]
-    q_inv = sub - np.outer(sys.q_inv[keep, pos], sys.q_inv[pos, keep]) / pivot
-    return BorderedSystem(q_inv, new_order)
-
-
-def _rates(sys: BorderedSystem, kmat, k_drive, n_drive):
+def _rates(kmat, s_order, k_drive, n_drive):
     """Sensitivities per unit step of the walk.
 
     The driving coefficients outside S move by a vector d per unit step,
     given as ``k_drive = K @ d`` and ``n_drive = sum(d)``. Returns
     (beta, gamma): beta[0] is db and beta[1:] d alpha_S, chosen so every
     margin decision value stays pinned and the alphas keep summing to one;
-    gamma is dg for every row of ``kmat``.
+    gamma is dg for every row of ``kmat``. Raises ImmobileError when the
+    margin system over ``s_order`` is numerically singular.
     """
-    eta = np.concatenate(([n_drive], k_drive[sys.s_order]))
-    beta = -(sys.q_inv @ eta)
-    gamma = k_drive + kmat[:, sys.s_order] @ beta[1:] + beta[0]
+    k_s = kmat[:, s_order]
+    q = np.zeros((len(s_order) + 1, len(s_order) + 1))
+    q[0, 1:] = q[1:, 0] = 1.0
+    q[1:, 1:] = k_s[s_order]
+    # Q is symmetric, so its 2-norm condition number is max|lam| / min|lam|;
+    # the negated test also rejects a NaN
+    lam = np.abs(np.linalg.eigvalsh(q))
+    if not lam.max() <= lam.min() * COND_LIMIT:
+        raise ImmobileError("margin system is numerically singular")
+    beta = -np.linalg.solve(q, np.concatenate(([n_drive], k_drive[s_order])))
+    gamma = k_drive + k_s @ beta[1:] + beta[0]
     return beta, gamma
 
 
@@ -164,13 +106,8 @@ class _Working:
         self.fill(np.append(np.flatnonzero(m.alpha), self.cand))
         s_idx, e_idx, r_idx = partition(self.g()[: self.cand], m.alpha,
                                         m.c_bound)
-        self.e_set = e_idx
+        self.s_set, self.e_set = s_idx, e_idx
         self.r_set = r_idx + [self.cand]
-        self.sys = build_system(self.kmat, s_idx)
-
-    @property
-    def s_set(self):
-        return self.sys.s_order
 
     def g(self, i=None):
         g = self.f_vals() - self.rho
@@ -191,16 +128,13 @@ class _Working:
     def move(self, i, dst):
         """Move index i into set ``dst`` ("S", "E" or "Rv"); a point leaving
         for a bound set takes that bound's coefficient."""
-        if i in self.sys.s_order:
-            self.sys = _shrink(self.sys, self.kmat, i)
-        else:
-            (self.e_set if i in self.e_set else self.r_set).remove(i)
+        sets = {"S": self.s_set, "E": self.e_set, "Rv": self.r_set}
+        next(v for v in sets.values() if i in v).remove(i)
         if dst == "S":
             self.fill([i])
-            self.sys = _expand(self.sys, self.kmat, i)
         else:
             self.alpha[i] = self.c if dst == "E" else 0.0
-            (self.e_set if dst == "E" else self.r_set).append(i)
+        sets[dst].append(i)
 
     def recruit_support(self, growing):
         """Seed S by shifting rho until one decision value touches zero.
@@ -233,7 +167,7 @@ def _breakpoints(w: _Working, g, beta, gamma, dc, growing, c_new):
     ends the leg by reaching S (case 4) or the bound (case 5); otherwise the
     bound reaching ``c_new`` ends the walk (case 0, no migration).
     """
-    s = np.asarray(w.sys.s_order, dtype=int)
+    s = np.asarray(w.s_set, dtype=int)
     b = beta[1:]
     e = np.asarray(w.e_set, dtype=int)
     r = np.asarray(w.r_set, dtype=int)
@@ -274,7 +208,7 @@ def _walk(w: _Working, c_new, events, on_event):
             growing = False  # consistent while others migrated
         if not growing and w.c - c_new <= ZERO_STEP:
             return
-        if w.sys.empty:
+        if not w.s_set:
             i, src = w.recruit_support(growing)
             events.append(MigrationEvent(3, i, src, "S", 0.0))
             on_event(w)
@@ -284,7 +218,7 @@ def _walk(w: _Working, c_new, events, on_event):
         else:
             drive, sign, dc = list(w.e_set), -1.0, -1.0
         k_drive = sign * w.kmat[:, drive].sum(axis=1)
-        beta, gamma = _rates(w.sys, w.kmat, k_drive, sign * len(drive))
+        beta, gamma = _rates(w.kmat, w.s_set, k_drive, sign * len(drive))
         step, case_id, idx = _select(
             *_breakpoints(w, g, beta, gamma, dc, growing, c_new))
         if case_id in (1, 2, 3) and step <= ZERO_STEP:
@@ -294,7 +228,7 @@ def _walk(w: _Working, c_new, events, on_event):
         else:
             stall = 0
 
-        w.alpha[w.sys.s_order] += beta[1:] * step
+        w.alpha[w.s_set] += beta[1:] * step
         w.rho -= beta[0] * step
         w.alpha[drive] += sign * step
         w.c += dc * step
@@ -330,7 +264,7 @@ def add_sample(m: OcsvmModel, x_c, on_event=None):
         _walk(w, c_new, events, on_event or (lambda _w: None))
     except np.linalg.LinAlgError as exc:
         raise ImmobileError(f"linear algebra failure: {exc}") from exc
-    if w.sys.empty:
+    if not w.s_set:
         # rho is only pinned to an interval; match the batch convention
         w.rho = recover_rho(w.f_vals(), w.alpha, c_new)
     try:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
+    ImmobileError,
     KernelSpec,
     OcsvmModel,
     ValidationError,
@@ -19,7 +20,7 @@ from driftwatch import (
     train_batch,
 )
 from driftwatch import incremental
-from driftwatch.incremental import _expand, _rates, _shrink, build_system
+from driftwatch.incremental import _rates
 
 
 def make_model(n=20, seed=0, nu=0.3, dim=2):
@@ -38,68 +39,43 @@ def assembled_q(kmat, s_order):
 
 
 def candidate_rates(m, x_c):
-    """(sys, beta, gamma) for growing the coefficient of x_c, which is
+    """(s_idx, beta, gamma) for growing the coefficient of x_c, which is
     appended as the last row of the enlarged Gram matrix."""
     kmat = kernel_matrix(m.kernel, np.vstack([m.x, np.atleast_2d(x_c)]))
     s_idx, _, _ = kkt_partition(m)
-    sys = build_system(kmat, s_idx)
-    beta, gamma = _rates(sys, kmat, kmat[:, -1], 1.0)
-    return sys, beta, gamma
+    beta, gamma = _rates(kmat, s_idx, kmat[:, -1], 1.0)
+    return s_idx, beta, gamma
 
 
 class TestBorderedSystem:
+    """The margin system Q = [[0, 1^T], [1, K_SS]] that ``_rates`` solves."""
+
     def test_single_member_closed_form(self):
         x, m = make_model(seed=1)
         kmat = kernel_matrix(m.kernel, m.x)
-        sys1 = build_system(kmat, [3])
         k_ss = kmat[3, 3]
-        np.testing.assert_allclose(
-            sys1.q_inv, [[-k_ss, 1.0], [1.0, 0.0]], atol=1e-12
-        )
         # single-member sensitivity: beta = (K_ss - K_sc, -1)
-        beta, _ = _rates(sys1, kmat, kmat[:, 7], 1.0)
+        beta, _ = _rates(kmat, [3], kmat[:, 7], 1.0)
         k_sc = kernel_matrix(m.kernel, x[3:4], x[7:8])[0, 0]
         np.testing.assert_allclose(beta, [k_ss - k_sc, -1.0], atol=1e-12)
 
-    def test_inverse_matches_dense_inverse(self):
-        x, m = make_model(seed=2)
-        s_idx, _, _ = kkt_partition(m)
-        kmat = kernel_matrix(m.kernel, m.x)
-        sys = build_system(kmat, s_idx)
-        q = assembled_q(kmat, s_idx)
-        np.testing.assert_allclose(sys.q_inv, np.linalg.inv(q), atol=1e-8)
-
-    def test_multiply_back_gives_identity(self):
+    def test_multiply_back_gives_minus_drive(self):
         x, m = make_model(seed=3)
+        x_c = np.array([0.6, -0.3])
+        kmat = kernel_matrix(m.kernel, np.vstack([m.x, x_c]))
         s_idx, _, _ = kkt_partition(m)
-        kmat = kernel_matrix(m.kernel, m.x)
-        sys = build_system(kmat, s_idx)
-        q = assembled_q(kmat, s_idx)
-        np.testing.assert_allclose(
-            q @ sys.q_inv, np.eye(len(s_idx) + 1), atol=1e-8
-        )
+        assert len(s_idx) >= 2
+        beta, _ = _rates(kmat, s_idx, kmat[:, -1], 1.0)
+        eta = np.concatenate(([1.0], kmat[s_idx, -1]))
+        np.testing.assert_allclose(assembled_q(kmat, s_idx) @ beta, -eta,
+                                   atol=1e-8)
 
-    def test_expand_then_shrink_round_trip(self):
-        x, m = make_model(seed=4)
-        s_idx, e_idx, r_idx = kkt_partition(m)
-        kmat = kernel_matrix(m.kernel, m.x)
-        sys = build_system(kmat, s_idx)
-        extra = (e_idx + r_idx)[0]
-        grown = _expand(sys, kmat, extra)
-        assert grown.s_order == s_idx + [extra]
-        back = _shrink(grown, kmat, extra)
-        assert back.s_order == s_idx
-        np.testing.assert_allclose(back.q_inv, sys.q_inv, atol=1e-8)
-
-    def test_expand_matches_direct_build(self):
-        x, m = make_model(seed=5)
-        s_idx, e_idx, r_idx = kkt_partition(m)
-        kmat = kernel_matrix(m.kernel, m.x)
-        sys = build_system(kmat, s_idx)
-        extra = (e_idx + r_idx)[-1]
-        grown = _expand(sys, kmat, extra)
-        direct = build_system(kmat, s_idx + [extra])
-        np.testing.assert_allclose(grown.q_inv, direct.q_inv, atol=1e-8)
+    def test_identical_rows_raise_immobile(self):
+        x, m = make_model(seed=2)
+        x = np.vstack([m.x, m.x[5]])  # row 20 repeats row 5
+        kmat = kernel_matrix(m.kernel, x)
+        with pytest.raises(ImmobileError):
+            _rates(kmat, [2, 5, 20], kmat[:, 9], 1.0)
 
 
 class TestSensitivities:
@@ -112,18 +88,18 @@ class TestSensitivities:
         # moving (alpha_S, rho) along beta keeps every margin g at zero
         x, m = make_model(seed=7)
         x_c = np.array([0.5, 0.1])
-        sys, beta, _ = candidate_rates(m, x_c)
+        s_idx, beta, _ = candidate_rates(m, x_c)
         delta = 1e-4
         probe = copy.deepcopy(m)
         kmat = kernel_matrix(probe.kernel, probe.x)
         k_col = kernel_matrix(m.kernel, m.x, np.atleast_2d(x_c))[:, 0]
         f = kmat @ probe.alpha + delta * k_col
-        alpha_s = probe.alpha[sys.s_order] + delta * beta[1:]
+        alpha_s = probe.alpha[s_idx] + delta * beta[1:]
         rho = probe.rho - delta * beta[0]
-        g_margin = (f[sys.s_order]
-                    + kmat[np.ix_(sys.s_order, sys.s_order)]
-                    @ (alpha_s - probe.alpha[sys.s_order]) - rho)
-        g_before = (kmat @ probe.alpha - probe.rho)[sys.s_order]
+        g_margin = (f[s_idx]
+                    + kmat[np.ix_(s_idx, s_idx)]
+                    @ (alpha_s - probe.alpha[s_idx]) - rho)
+        g_before = (kmat @ probe.alpha - probe.rho)[s_idx]
         # the step must not move the margin values at all
         np.testing.assert_allclose(g_margin, g_before, atol=1e-10)
 
@@ -131,7 +107,7 @@ class TestSensitivities:
         x, m = make_model(seed=8)
         _, e_idx, r_idx = kkt_partition(m)
         x_c = np.array([0.4, 0.9])
-        sys, beta, gamma = candidate_rates(m, x_c)
+        s_idx, beta, gamma = candidate_rates(m, x_c)
         others = e_idx + r_idx
         delta = 1e-6
         k_col = kernel_matrix(m.kernel, np.vstack([m.x, x_c]),
@@ -140,7 +116,7 @@ class TestSensitivities:
         for i in others:
             g0 = kmat[i] @ m.alpha - m.rho
             g1 = (kmat[i] @ m.alpha
-                  + kmat[i, sys.s_order] @ (delta * beta[1:])
+                  + kmat[i, s_idx] @ (delta * beta[1:])
                   + delta * k_col[i] - (m.rho - delta * beta[0]))
             assert gamma[i] == pytest.approx((g1 - g0) / delta, abs=1e-6)
 
