@@ -50,8 +50,11 @@ class AdvisorConfig:
     threshold: float = -0.5  # used by the THRESHOLD policy only
 
     def __post_init__(self):
-        if self.gamma_change <= 0:
+        # negated tests so that a NaN is rejected too
+        if not self.gamma_change > 0:
             raise ValidationError("gamma_change must be > 0")
+        if not self.threshold <= 0:
+            raise ValidationError("threshold must be <= 0")
         if not 0.0 < self.confidence <= 1.0:
             raise ValidationError("confidence must be in (0, 1]")
         if self.k_neighbors < 1:

@@ -148,7 +148,7 @@ def cmd_train(args):
     decomp = decompose_stream_init(window, args.rank,
                                    OptimizerKind(args.optimizer), opts)
     c_rows = decomp.factors.c
-    sigma = args.sigma if args.sigma > 0 else median_pairwise_sigma(c_rows)
+    sigma = median_pairwise_sigma(c_rows) if args.sigma <= 0 else args.sigma
     model = train_batch(c_rows, args.nu, KernelSpec(args.kernel, sigma))
     gamma = args.gamma_change
     if gamma <= 0:

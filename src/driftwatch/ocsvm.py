@@ -30,7 +30,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.sigma <= 0:
+        if self.kind == "rbf" and not self.sigma > 0:  # NaN too
             raise ValidationError("rbf sigma must be > 0")
 
 

@@ -12,6 +12,7 @@ from driftwatch import (
     AdvisorConfig,
     DenseTensor3,
     DivergedError,
+    ImmobileError,
     KernelSpec,
     LocationSnapshot,
     LrSchedule,
@@ -32,6 +33,7 @@ from driftwatch import (
     train_batch,
     update_online,
 )
+from driftwatch import advisor
 from driftwatch.advisor import advised_decision, baseline_threshold_policy
 from driftwatch.decomp import KruskalFactors
 
@@ -272,6 +274,31 @@ class TestProcessEvent:
                 updates += 1
         assert state.model.n == n0 + updates
         assert updates > 0
+
+    def test_immobile_insert_falls_back_to_batch_retrain(self, monkeypatch):
+        state, f_true = small_pipeline(UpdatePolicy.THRESHOLD)
+        state.config.threshold = -1e9  # every negative event updates
+        old = state.model
+        rows = []
+
+        def immobile(model, x_c, on_event=None):
+            rows.append(x_c.copy())
+            raise ImmobileError("forced")
+
+        monkeypatch.setattr(advisor, "add_sample", immobile)
+        rng = np.random.default_rng(14)
+        for scale in (3.0, 5.0, 8.0):
+            state, v = process_event(
+                state, scale * self.normal_slice(f_true, rng))
+            if v.action is Action.UPDATE_MODEL:
+                break
+        assert v.action is Action.UPDATE_MODEL
+        assert state.retrain_fallbacks == 1
+        assert state.migration_log == []
+        batch = train_batch(np.vstack([old.x, rows[0]]), old.nu, old.kernel)
+        np.testing.assert_array_equal(state.model.x, batch.x)
+        np.testing.assert_array_equal(state.model.alpha, batch.alpha)
+        assert state.model.rho == batch.rho
 
     def test_events_seen_counts_everything(self):
         state, f_true = small_pipeline(UpdatePolicy.NONE)

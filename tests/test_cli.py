@@ -259,6 +259,8 @@ class TestMalformedInput:
         "non_numeric_drift_locations", "unknown_bench_optimizer",
         "unknown_stream_policy", "negative_bench_lr_b", "negative_train_lr_b",
         "negative_bundle_lr_b", "train_epochs_below_one",
+        "nan_train_gamma_change", "nan_train_threshold",
+        "positive_train_threshold", "nan_train_sigma",
     ])
     def test_exit_code_2(self, tmp_path, capsys, case):
         tensor_path = tmp_path / "t.csv"
@@ -323,6 +325,15 @@ class TestMalformedInput:
         elif case == "train_epochs_below_one":
             bundle.unlink()
             argv = [*train_args(tensor_path, bundle), "--epochs", "-3"]
+        elif case.startswith(("nan_train_", "positive_train_")):
+            bundle.unlink()
+            flag, value = {
+                "nan_train_gamma_change": ("--gamma-change", "nan"),
+                "nan_train_threshold": ("--threshold", "nan"),
+                "positive_train_threshold": ("--threshold", "0.5"),
+                "nan_train_sigma": ("--sigma", "nan"),
+            }[case]
+            argv = [*train_args(tensor_path, bundle), flag, value]
         elif case == "non_numeric_anomaly_steps":
             argv = synth_args(tmp_path / "s.csv", anomalies="x")
         elif case == "non_numeric_drift_locations":
@@ -349,8 +360,7 @@ class TestMalformedInput:
         # bad input is rejected before the stream runs: no partial outputs
         assert not verdicts.exists()
         assert not migrations.exists()
-        if case in ("negative_train_window", "negative_train_lr_b",
-                    "train_epochs_below_one"):
+        if "_train_" in case or case == "train_epochs_below_one":
             assert not bundle.exists()
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "bench.csv").exists()

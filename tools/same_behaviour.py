@@ -11,6 +11,8 @@ The two runs are compared on:
 
 - the action of every event;
 - the ``(case_id, index)`` sequence of insert migrations;
+- the number of batch-retrain fallbacks (``retrain_fallbacks``), which is
+  printed for both checkouts;
 - the sha256 of the set-up bundle; when it differs, the JSON paths
   (``state.vel_a``, ...) that were added, removed or changed are printed,
   each changed path with its largest absolute numeric difference (hex
@@ -214,6 +216,7 @@ def child(checkout, workload, seed):
     print(json.dumps({
         "actions": result.actions,
         "failures": len(result.failures),
+        "retrain_fallbacks": result.state.retrain_fallbacks,
         "migrations": [[ev["case_id"], ev["index"]]
                        for ev in result.state.migration_log],
         "bundle_sha256": digest,
@@ -238,7 +241,8 @@ def model_diff(old, new):
 def compare(parent, change):
     """(mismatch names, max |delta g_raw|, final model diff) between two
     child records."""
-    bad = [key for key in ("actions", "migrations", "bundle_sha256")
+    bad = [key for key in ("actions", "migrations", "retrain_fallbacks",
+                           "bundle_sha256")
            if parent[key] != change[key]]
     if parent["failures"] or change["failures"]:
         bad.append("failures")
@@ -287,6 +291,8 @@ def main(argv):
                   f"max|dg_raw| {dg:.1e}  max|dmodel| {dm:.1e}  "
                   f"inserts {inserts}  "
                   f"migrations {len(change['migrations'])}  "
+                  f"fallbacks {parent['retrain_fallbacks']}/"
+                  f"{change['retrain_fallbacks']}  "
                   f"A3 diff {parent['final_model_diff']:.1e}/"
                   f"{change['final_model_diff']:.1e}", flush=True)
             if "bundle_sha256" in bad:
