@@ -2,7 +2,12 @@
 
 The advisor treats a negative one-class score as environmental drift when
 the change statistic of the location factor says most locations moved
-together, and as an anomaly when only a few did.
+together, and as an anomaly when only a few did. ``decide`` maps a score
+to an action: >= 0 accepts; a negative score updates the model under
+``tensor_advised`` when p_env >= confidence (flipped to |g_raw|), under
+``threshold`` when g_raw >= threshold, and never under ``none``; anything
+else, NaN included, is reported. The model changes only on UPDATE_MODEL,
+the location snapshot on every action except REPORT_ANOMALY.
 """
 
 import copy
@@ -41,7 +46,7 @@ class Action(Enum):
     REPORT_ANOMALY = "report_anomaly"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdvisorConfig:
     k_neighbors: int = 3
     gamma_change: float = 1e-3
@@ -109,22 +114,17 @@ def environmental_probability(prev: LocationSnapshot, curr: LocationSnapshot,
     return float(np.mean(change > cfg.gamma_change))
 
 
-def advised_decision(g_raw: float, p_env: float, cfg: AdvisorConfig) -> float:
-    """Flip a negative score positive when the change looks environmental."""
-    if g_raw < 0.0 and p_env >= cfg.confidence:
-        return abs(g_raw)
-    return g_raw
-
-
-def baseline_threshold_policy(g_raw: float, threshold: float) -> Action:
-    """Fixed-threshold baseline: mildly negative scores trigger updates."""
-    if threshold > 0:
-        raise ValidationError("threshold must be <= 0")
+def decide(g_raw: float, p_env: float, cfg: AdvisorConfig):
+    """(g_advised, action) for one score, by the module docstring's rules."""
     if g_raw >= 0.0:
-        return Action.ACCEPT
-    if g_raw >= threshold:
-        return Action.UPDATE_MODEL
-    return Action.REPORT_ANOMALY
+        return g_raw, Action.ACCEPT
+    policy = cfg.update_policy
+    drift = g_raw < 0.0 and p_env >= cfg.confidence  # a NaN score is not
+    if policy is UpdatePolicy.TENSOR_ADVISED and drift:
+        return abs(g_raw), Action.UPDATE_MODEL
+    if policy is UpdatePolicy.THRESHOLD and g_raw >= cfg.threshold:
+        return g_raw, Action.UPDATE_MODEL
+    return g_raw, Action.REPORT_ANOMALY
 
 
 @dataclass
@@ -171,29 +171,14 @@ def process_event(state: PipelineState, slice_ij):
     state.events_seen += 1
     curr = LocationSnapshot.capture(state.decomp.factors.b, cfg.k_neighbors)
     g_raw = decision_value(state.model, c_new)
-
-    if g_raw >= 0.0:
-        state.snapshot = curr
-        return state, Verdict(t_idx, g_raw, 0.0, g_raw, Action.ACCEPT)
-
-    p_env = environmental_probability(state.snapshot, curr, cfg)
-    policy = cfg.update_policy
-    if policy is UpdatePolicy.NONE:
-        return state, Verdict(t_idx, g_raw, p_env, g_raw,
-                              Action.REPORT_ANOMALY)
-    if policy is UpdatePolicy.THRESHOLD:
-        action = baseline_threshold_policy(g_raw, cfg.threshold)
-        if action is Action.UPDATE_MODEL:
-            _incorporate(state, c_new)
-            state.snapshot = curr
-        return state, Verdict(t_idx, g_raw, p_env, g_raw, action)
-
-    g_adv = advised_decision(g_raw, p_env, cfg)
-    if g_adv >= 0.0:
+    p_env = 0.0 if g_raw >= 0.0 \
+        else environmental_probability(state.snapshot, curr, cfg)
+    g_adv, action = decide(g_raw, p_env, cfg)
+    if action is Action.UPDATE_MODEL:
         _incorporate(state, c_new)
+    if action is not Action.REPORT_ANOMALY:
         state.snapshot = curr
-        return state, Verdict(t_idx, g_raw, p_env, g_adv, Action.UPDATE_MODEL)
-    return state, Verdict(t_idx, g_raw, p_env, g_adv, Action.REPORT_ANOMALY)
+    return state, Verdict(t_idx, g_raw, p_env, g_adv, action)
 
 
 def calibrate_gamma_change(decomp: StreamDecomposition,

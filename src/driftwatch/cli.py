@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import advisor, synth
 from .advisor import Action, AdvisorConfig, PipelineState, UpdatePolicy
@@ -145,20 +145,25 @@ def cmd_train(args):
     lr = LrSchedule.for_slices(tensor.dims, args.lr_b) if args.lr_a <= 0 \
         else LrSchedule(args.lr_a, args.lr_b)
     opts = StreamOptions(epochs=args.epochs, seed=args.seed, lr=lr)
-    decomp = decompose_stream_init(window, args.rank,
-                                   OptimizerKind(args.optimizer), opts)
-    c_rows = decomp.factors.c
-    sigma = median_pairwise_sigma(c_rows) if args.sigma <= 0 else args.sigma
-    model = train_batch(c_rows, args.nu, KernelSpec(args.kernel, sigma))
-    gamma = args.gamma_change
-    if gamma <= 0:
-        gamma = advisor.calibrate_gamma_change(decomp, args.k_neighbors)
+    auto_gamma = args.gamma_change <= 0  # calibrated after the fit
+    gamma = AdvisorConfig.gamma_change if auto_gamma else args.gamma_change
     config = AdvisorConfig(
         k_neighbors=args.k_neighbors, gamma_change=gamma,
         confidence=args.confidence,
         update_policy=UpdatePolicy(args.policy),
         threshold=args.threshold,
     )
+    # the median heuristic (--sigma <= 0) needs the fitted temporal rows
+    kernel = None if args.sigma <= 0 else KernelSpec(args.kernel, args.sigma)
+    decomp = decompose_stream_init(window, args.rank,
+                                   OptimizerKind(args.optimizer), opts)
+    c_rows = decomp.factors.c
+    if kernel is None:
+        kernel = KernelSpec(args.kernel, median_pairwise_sigma(c_rows))
+    model = train_batch(c_rows, args.nu, kernel)
+    if auto_gamma:
+        config = replace(config, gamma_change=advisor.calibrate_gamma_change(
+            decomp, args.k_neighbors))
     snapshot = advisor.LocationSnapshot.capture(decomp.factors.b,
                                                 args.k_neighbors)
     meta = {"tensor": args.tensor,
@@ -183,7 +188,7 @@ def cmd_stream(args):
         raise ShapeMismatchError("bundle factors do not match tensor dims")
     if args.policy:
         with parsing("--policy"):
-            config.update_policy = UpdatePolicy(args.policy)
+            config = replace(config, update_policy=UpdatePolicy(args.policy))
     if args.far_window < 1:
         raise ValidationError(f"far window {args.far_window} must be >= 1")
     labels = None

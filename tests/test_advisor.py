@@ -1,6 +1,7 @@
 """Location-change advisor: scores, probabilities, and event handling."""
 
 import copy
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from driftwatch import (
     update_online,
 )
 from driftwatch import advisor
-from driftwatch.advisor import advised_decision, baseline_threshold_policy
+from driftwatch.advisor import Verdict, decide
 from driftwatch.decomp import KruskalFactors
 
 
@@ -142,35 +143,40 @@ class TestEnvironmentalProbability:
 class TestAdvisedDecision:
     def test_flip_when_confident(self):
         cfg = AdvisorConfig(confidence=0.9)
-        assert advised_decision(-0.4, 0.95, cfg) == pytest.approx(0.4)
+        g_adv, action = decide(-0.4, 0.95, cfg)
+        assert g_adv == pytest.approx(0.4)
+        assert action is Action.UPDATE_MODEL
 
     def test_no_flip_below_confidence(self):
         cfg = AdvisorConfig(confidence=0.9)
-        assert advised_decision(-0.4, 0.89, cfg) == -0.4
+        assert decide(-0.4, 0.89, cfg) == (-0.4, Action.REPORT_ANOMALY)
 
     def test_positive_score_untouched(self):
         cfg = AdvisorConfig(confidence=0.9)
-        assert advised_decision(0.2, 1.0, cfg) == 0.2
+        assert decide(0.2, 1.0, cfg) == (0.2, Action.ACCEPT)
 
     @given(st.floats(-10, 10, allow_nan=False),
            st.floats(0, 1, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_magnitude_preserved(self, g, p):
         cfg = AdvisorConfig(confidence=0.9)
-        out = advised_decision(g, p, cfg)
+        out, _ = decide(g, p, cfg)
         assert abs(out) == abs(g)
         assert out >= g
 
 
 class TestThresholdPolicy:
     def test_bands(self):
-        assert baseline_threshold_policy(0.1, -0.5) is Action.ACCEPT
-        assert baseline_threshold_policy(-0.3, -0.5) is Action.UPDATE_MODEL
-        assert baseline_threshold_policy(-0.7, -0.5) is Action.REPORT_ANOMALY
+        cfg = AdvisorConfig(update_policy=UpdatePolicy.THRESHOLD,
+                            threshold=-0.5)
+        assert decide(0.1, 0.0, cfg) == (0.1, Action.ACCEPT)
+        assert decide(-0.3, 0.0, cfg) == (-0.3, Action.UPDATE_MODEL)
+        assert decide(-0.7, 1.0, cfg) == (-0.7, Action.REPORT_ANOMALY)
 
     def test_positive_threshold_rejected(self):
+        cfg = AdvisorConfig(update_policy=UpdatePolicy.THRESHOLD)
         with pytest.raises(ValidationError):
-            baseline_threshold_policy(-0.1, 0.5)
+            replace(cfg, threshold=0.5)
 
 
 class TestConfigValidation:
@@ -185,6 +191,11 @@ class TestConfigValidation:
     def test_bad_k(self):
         with pytest.raises(ValidationError):
             AdvisorConfig(k_neighbors=0)
+
+    def test_frozen(self):
+        cfg = AdvisorConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.threshold = 0.5
 
 
 def small_pipeline(policy, seed=0, gamma=1e-3):
@@ -204,6 +215,54 @@ def small_pipeline(policy, seed=0, gamma=1e-3):
     cfg = AdvisorConfig(k_neighbors=2, gamma_change=gamma,
                         update_policy=policy)
     return PipelineState.start(d, m, cfg), f_true
+
+
+def advised_decision(g_raw, p_env, cfg):
+    if g_raw < 0.0 and p_env >= cfg.confidence:
+        return abs(g_raw)
+    return g_raw
+
+
+def baseline_threshold_policy(g_raw, threshold):
+    if g_raw >= 0.0:
+        return Action.ACCEPT
+    if g_raw >= threshold:
+        return Action.UPDATE_MODEL
+    return Action.REPORT_ANOMALY
+
+
+def branchy_process_event(state, slice_ij):
+    """Reference for ``process_event``: one branch per policy, each with
+    its own commit and its own verdict."""
+    cfg = state.config
+    t_idx = state.events_seen
+    _, c_new = update_online(state.decomp, slice_ij)
+    state.events_seen += 1
+    curr = LocationSnapshot.capture(state.decomp.factors.b, cfg.k_neighbors)
+    g_raw = advisor.decision_value(state.model, c_new)
+
+    if g_raw >= 0.0:
+        state.snapshot = curr
+        return state, Verdict(t_idx, g_raw, 0.0, g_raw, Action.ACCEPT)
+
+    p_env = environmental_probability(state.snapshot, curr, cfg)
+    policy = cfg.update_policy
+    if policy is UpdatePolicy.NONE:
+        return state, Verdict(t_idx, g_raw, p_env, g_raw,
+                              Action.REPORT_ANOMALY)
+    if policy is UpdatePolicy.THRESHOLD:
+        action = baseline_threshold_policy(g_raw, cfg.threshold)
+        if action is Action.UPDATE_MODEL:
+            advisor._incorporate(state, c_new)
+            state.snapshot = curr
+        return state, Verdict(t_idx, g_raw, p_env, g_raw, action)
+
+    g_adv = advised_decision(g_raw, p_env, cfg)
+    if g_adv >= 0.0:
+        advisor._incorporate(state, c_new)
+        state.snapshot = curr
+        return state, Verdict(t_idx, g_raw, p_env, g_adv, Action.UPDATE_MODEL)
+    return state, Verdict(t_idx, g_raw, p_env, g_adv, Action.REPORT_ANOMALY)
 
 
 class TestProcessEvent:
@@ -263,7 +322,8 @@ class TestProcessEvent:
 
     def test_update_grows_model(self):
         state, f_true = small_pipeline(UpdatePolicy.THRESHOLD)
-        state.config.threshold = -1e9  # every negative event updates
+        # every negative event updates
+        state.config = replace(state.config, threshold=-1e9)
         n0 = state.model.n
         rng = np.random.default_rng(14)
         updates = 0
@@ -277,7 +337,8 @@ class TestProcessEvent:
 
     def test_immobile_insert_falls_back_to_batch_retrain(self, monkeypatch):
         state, f_true = small_pipeline(UpdatePolicy.THRESHOLD)
-        state.config.threshold = -1e9  # every negative event updates
+        # every negative event updates
+        state.config = replace(state.config, threshold=-1e9)
         old = state.model
         rows = []
 
@@ -299,6 +360,48 @@ class TestProcessEvent:
         np.testing.assert_array_equal(state.model.x, batch.x)
         np.testing.assert_array_equal(state.model.alpha, batch.alpha)
         assert state.model.rho == batch.rho
+
+    @pytest.mark.parametrize("policy", list(UpdatePolicy))
+    def test_matches_branchy_reference(self, policy):
+        state, f_true = small_pipeline(policy)
+        state.config = replace(state.config, threshold=-0.3)
+        ref = copy.deepcopy(state)
+        rng = np.random.default_rng(20)
+        actions = set()
+        for k in range(24):
+            slice_ij = self.normal_slice(f_true, rng)
+            if k % 4 == 1:
+                slice_ij = 3.0 * slice_ij  # every location moves
+            elif k % 4 == 3:
+                slice_ij[:, 2] *= 8.0  # one location moves
+            model, snap = state.model, state.snapshot
+            ref_model, ref_snap = ref.model, ref.snapshot
+            state, v = process_event(state, slice_ij)
+            ref, want = branchy_process_event(ref, slice_ij)
+            assert v == want
+            assert (state.model is model) == (ref.model is ref_model)
+            assert (state.snapshot is snap) == (ref.snapshot is ref_snap)
+            actions.add(v.action)
+        assert len(actions) == (2 if policy is UpdatePolicy.NONE else 3)
+        np.testing.assert_array_equal(state.model.alpha, ref.model.alpha)
+        np.testing.assert_array_equal(state.snapshot.b_matrix,
+                                      ref.snapshot.b_matrix)
+        assert state.migration_log == ref.migration_log
+
+    @pytest.mark.parametrize("policy", list(UpdatePolicy))
+    def test_nan_score_is_reported(self, policy, monkeypatch):
+        # every location counts as moved and every negative score is
+        # within the threshold, so only the NaN itself can report
+        state, f_true = small_pipeline(policy, gamma=1e-12)
+        state.config = replace(state.config, threshold=-1e9)
+        model, snap = state.model, state.snapshot
+        monkeypatch.setattr(advisor, "decision_value",
+                            lambda m, x: float("nan"))
+        state, v = process_event(
+            state, self.normal_slice(f_true, np.random.default_rng(17)))
+        assert v.p_env == 1.0
+        assert v.action is Action.REPORT_ANOMALY
+        assert state.model is model and state.snapshot is snap
 
     def test_events_seen_counts_everything(self):
         state, f_true = small_pipeline(UpdatePolicy.NONE)

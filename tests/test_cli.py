@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from driftwatch import cli
 from driftwatch.cli import main
 
 
@@ -247,6 +248,17 @@ class TestBench:
             float(r["rmse"])  # parseable full-precision values
 
 
+# train settings that are invalid on their own, by test case
+BAD_TRAIN_FLAGS = {
+    "nan_train_gamma_change": ("--gamma-change", "nan"),
+    "nan_train_threshold": ("--threshold", "nan"),
+    "positive_train_threshold": ("--threshold", "0.5"),
+    "nan_train_sigma": ("--sigma", "nan"),
+    "above_one_train_confidence": ("--confidence", "1.5"),
+    "zero_train_k_neighbors": ("--k-neighbors", "0"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         "missing_bundle", "truncated_bundle", "missing_bundle_key",
@@ -258,11 +270,9 @@ class TestMalformedInput:
         "negative_verdict_t", "non_numeric_anomaly_steps",
         "non_numeric_drift_locations", "unknown_bench_optimizer",
         "unknown_stream_policy", "negative_bench_lr_b", "negative_train_lr_b",
-        "negative_bundle_lr_b", "train_epochs_below_one",
-        "nan_train_gamma_change", "nan_train_threshold",
-        "positive_train_threshold", "nan_train_sigma",
+        "negative_bundle_lr_b", "train_epochs_below_one", *BAD_TRAIN_FLAGS,
     ])
-    def test_exit_code_2(self, tmp_path, capsys, case):
+    def test_exit_code_2(self, tmp_path, capsys, monkeypatch, case):
         tensor_path = tmp_path / "t.csv"
         bundle = tmp_path / "bundle.json"
         run_cli(*synth_args(tensor_path))
@@ -325,15 +335,9 @@ class TestMalformedInput:
         elif case == "train_epochs_below_one":
             bundle.unlink()
             argv = [*train_args(tensor_path, bundle), "--epochs", "-3"]
-        elif case.startswith(("nan_train_", "positive_train_")):
+        elif case in BAD_TRAIN_FLAGS:
             bundle.unlink()
-            flag, value = {
-                "nan_train_gamma_change": ("--gamma-change", "nan"),
-                "nan_train_threshold": ("--threshold", "nan"),
-                "positive_train_threshold": ("--threshold", "0.5"),
-                "nan_train_sigma": ("--sigma", "nan"),
-            }[case]
-            argv = [*train_args(tensor_path, bundle), flag, value]
+            argv = [*train_args(tensor_path, bundle), *BAD_TRAIN_FLAGS[case]]
         elif case == "non_numeric_anomaly_steps":
             argv = synth_args(tmp_path / "s.csv", anomalies="x")
         elif case == "non_numeric_drift_locations":
@@ -353,6 +357,10 @@ class TestMalformedInput:
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),
                     "--migrations", str(migrations), *extra]
+        if argv[0] == "train":  # settings are checked before the fit
+            def fit(*args, **kwargs):
+                pytest.fail("train ran the window fit")
+            monkeypatch.setattr(cli, "decompose_stream_init", fit)
         capsys.readouterr()
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -26,12 +26,14 @@ The two runs are compared on:
 One line is printed per workload and seed.
 
 Before that, each checkout runs the ``synth``/``bench``/``train``/
-``stream``/``eval`` commands of acceptance test A6 in an empty temporary
-directory of its own. Every file they write, and the standard output of
-``eval``, is compared byte for byte; one line is printed per file, and a
-file that differs prints its largest absolute numeric difference (hex
-floats included). The CLI runs match when, in every file, the text between
-the numbers is equal and no number differs by more than ``G_RAW_TOL``.
+``stream``/``eval`` commands of acceptance test A6, plus one ``stream``
+each under ``--policy threshold`` and ``--policy none`` on the same
+bundle, in an empty temporary directory of its own. Every file they write,
+and the standard output of ``eval``, is compared byte for byte; one line
+is printed per file, and a file that differs prints its largest absolute
+numeric difference (hex floats included). The CLI runs match when, in
+every file, the text between the numbers is equal and no number differs
+by more than ``G_RAW_TOL``.
 
 The exit status is 1 on any mismatch, 0 otherwise. Nothing under
 ``streambench/`` is modified.
@@ -53,7 +55,8 @@ CHILD_TIMEOUT_S = 1800
 # as streambench/run.py: one BLAS thread, set before numpy is imported
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# the commands of acceptance test A6, in order; "eval" writes to stdout
+# the commands of acceptance test A6, in order, with two more streams so
+# that every update policy runs; "eval" writes to stdout
 CLI_COMMANDS = (
     ["synth", "--i", "6", "--j", "5", "--k", "60", "--rank", "2",
      "--seed", "7", "--noise-sigma", "0.02", "--anomaly-steps", "40,45",
@@ -67,6 +70,9 @@ CLI_COMMANDS = (
      "--gamma-change", "0.01", "--out", "b.json"],
     ["stream", "--bundle", "b.json", "--tensor", "t.csv", "--verdicts",
      "v.csv", "--metrics", "m.json", "--migrations", "mig.jsonl"],
+    *(["stream", "--bundle", "b.json", "--tensor", "t.csv", "--policy", p,
+       "--verdicts", f"v_{p}.csv", "--metrics", f"m_{p}.json",
+       "--migrations", f"mig_{p}.jsonl"] for p in ("threshold", "none")),
     ["eval", "--verdicts", "v.csv", "--labels", "t.labels.csv"],
 )
 EVAL_STDOUT = "eval.stdout"
@@ -152,15 +158,15 @@ def compare_cli(parent_dir, change_dir):
         if name not in parent or name not in change:
             bad += 1
             side = "parent" if name not in parent else "change"
-            print(f"cli {name:14s} MISMATCH missing in the {side}")
+            print(f"cli {name:19s} MISMATCH missing in the {side}")
             continue
         if parent[name] == change[name]:
-            print(f"cli {name:14s} match  identical bytes")
+            print(f"cli {name:19s} match  identical bytes")
             continue
         diff = numeric_diff(parent[name].decode(), change[name].decode())
         ok = diff <= G_RAW_TOL
         bad += not ok
-        print(f"cli {name:14s} {'match ' if ok else 'MISMATCH'} "
+        print(f"cli {name:19s} {'match ' if ok else 'MISMATCH'} "
               f"max|dnumber| {diff:.1e}", flush=True)
     return bad
 
