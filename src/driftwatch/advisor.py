@@ -139,6 +139,14 @@ class PipelineState:
     retrain_fallbacks: int = 0
     migration_log: list = field(default_factory=list)
 
+    def __post_init__(self):
+        j_r = self.decomp.factors.b.shape  # J x R
+        shapes = (np.shape(self.snapshot.b_matrix),
+                  np.shape(self.snapshot.knn_scores))
+        if shapes != (j_r, j_r[:1]):
+            raise ShapeMismatchError(
+                f"snapshot b and knn shapes {shapes} do not fit B {j_r}")
+
     @classmethod
     def start(cls, decomp, model, config):
         snap = LocationSnapshot.capture(decomp.factors.b, config.k_neighbors)

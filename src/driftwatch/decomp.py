@@ -76,6 +76,9 @@ class NesgdState:
             raise ValidationError("friction must be in [0, 1)")
         if self.perturb_sigma < 0 or self.l1_beta < 0:
             raise ValidationError("perturb_sigma and l1_beta must be >= 0")
+        if not (isinstance(self.step, int) and self.step >= 0):
+            raise ValidationError(f"step must be an int >= 0, not "
+                                  f"{self.step!r}")
         if self.rng is None:
             self.rng = np.random.default_rng(self.rng_seed)
 
@@ -204,6 +207,14 @@ class StreamDecomposition:
     state: NesgdState
     kind: OptimizerKind
     slices: list  # training window, one (I, J) array per time step
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            vel = np.shape(getattr(self.state, f"vel_{name}"))
+            shape = getattr(self.factors, name).shape
+            if vel != shape:
+                raise ShapeMismatchError(f"vel_{name} has shape {vel}, factor "
+                                         f"{name} {shape}")
 
 
 def _window_rmse(window, x_sq, a, b, c):

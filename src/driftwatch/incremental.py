@@ -1,19 +1,16 @@
 """Exact single-sample updates for a trained one-class SVM.
 
-Adding a point changes two things at once: the new candidate's coefficient
-must grow from zero until its own optimality condition holds, and the box
-bound C = 1/(nu*n) shrinks because n grew. Both are one homotopy walk that
-keeps every retained point KKT-consistent after each migration event. Only
-the quantity that drives the walk changes between its two legs:
-
-* while the candidate's coefficient grows (at the old bound), the classic
-  five migration cases decide which point changes set at each breakpoint;
-* once the candidate is consistent, C slides down to the new value; points
-  pinned at the bound ride it downward while the margin set (now possibly
-  containing the candidate) absorbs the released mass. The candidate takes
-  part as an ordinary point here, which rules out the all-at-bound
-  deadlock: if every point sat at the bound then (n+1)*C = 1 would put C
-  below the target.
+Adding a point grows the candidate's coefficient from zero until its own
+optimality condition holds, and shrinks the box bound C = 1/(nu*n) because
+n grew. Both are one homotopy walk whose step is the decrease of C from
+the old bound to c_new = 1/(nu*(n+1)), driven by one rate vector: points
+pinned at the bound (E) ride it at rate -1, a candidate with g_c < 0 grows
+at rate n = c_new/(c_old - c_new), so it would reach c_new exactly when C
+does, and the margin set S absorbs the net mass. The candidate stops
+growing when g_c reaches 0 (case 4, it joins S), when it is the best
+recruit for an empty S, or when C reaches c_new (it joins E, logged as
+case 5 with step 0). Every retained point stays KKT-consistent after each
+migration event.
 
 Internally the bias is carried as b = -rho so the bordered margin system
 Q = [[0, 1^T], [1, K_SS]] stays symmetric; sensitivities are reported in
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImmobileError, KktViolationError, ValidationError
-from .ocsvm import KKT_TOL, OcsvmModel, kernel_matrix, partition, recover_rho
+from .ocsvm import OcsvmModel, kernel_matrix, partition, recover_rho
 
 ZERO_STEP = 1e-14
 COND_LIMIT = 1e12  # largest condition number of Q a step may solve
@@ -44,6 +41,13 @@ _DESTINATION = {1: "E", 2: "Rv", 3: "S", 4: "S", 5: "E"}
 
 @dataclass
 class MigrationEvent:
+    """One point changing set during an insert.
+
+    ``delta_alpha_c`` is the walk step that led to the event, measured as
+    the decrease of C; it is 0.0 on recruits into an empty S and on the
+    end-of-walk case 5.
+    """
+
     case_id: int
     index: int
     from_set: str
@@ -104,14 +108,12 @@ class _Working:
         self.kmat = np.empty((self.cand + 1, self.cand + 1), order="F")
         self.filled = np.zeros(self.cand + 1, dtype=bool)
         self.fill(np.append(np.flatnonzero(m.alpha), self.cand))
-        s_idx, e_idx, r_idx = partition(self.g()[: self.cand], m.alpha,
-                                        m.c_bound)
-        self.s_set, self.e_set = s_idx, e_idx
-        self.r_set = r_idx + [self.cand]
+        self.s_set, self.e_set, self.r_set = partition(
+            self.g()[: self.cand], m.alpha, m.c_bound)
+        self.r_set.append(self.cand)
 
-    def g(self, i=None):
-        g = self.f_vals() - self.rho
-        return g if i is None else g[i]
+    def g(self):
+        return self.f_vals() - self.rho
 
     def f_vals(self):
         nz = np.flatnonzero(self.alpha)
@@ -126,67 +128,60 @@ class _Working:
             self.filled[cols] = True
 
     def move(self, i, dst):
-        """Move index i into set ``dst`` ("S", "E" or "Rv"); a point leaving
-        for a bound set takes that bound's coefficient."""
+        """Move index i into set ``dst`` ("S", "E" or "Rv") and return the
+        set it left; a point leaving for a bound set takes that bound's
+        coefficient."""
         sets = {"S": self.s_set, "E": self.e_set, "Rv": self.r_set}
-        next(v for v in sets.values() if i in v).remove(i)
+        src = next(k for k, v in sets.items() if i in v)
+        sets[src].remove(i)
         if dst == "S":
             self.fill([i])
         else:
             self.alpha[i] = self.c if dst == "E" else 0.0
         sets[dst].append(i)
+        return src
 
-    def recruit_support(self, growing):
-        """Seed S by shifting rho until one decision value touches zero.
-
-        While the candidate grows the others must give up mass, so the
-        recruit comes from E (a point whose alpha can shrink); while the
-        bound slides the released mass needs an absorber from Rv. Either
-        pool falls back to the other when empty. The growing candidate is
-        never recruited; in the bound leg it is an ordinary point.
+    def recruit_support(self, grow):
+        """Shift rho until one decision value touches zero; return that
+        point, the seed of an empty S. A growing candidate adds more mass
+        than E sheds, so the seed must shrink: the largest f among E and
+        the candidate, which keeps rho from passing the candidate's zero
+        crossing. Otherwise the mass E releases needs an absorber from Rv.
         """
         f = self.f_vals()
-        r_pool = [i for i in self.r_set if not (growing and i == self.cand)]
-        from_e = bool(self.e_set) if growing else not r_pool
-        pool = self.e_set if from_e else r_pool
-        if not pool:
-            raise ImmobileError("no point available to seed the margin set")
-        if from_e:
-            i = max(pool, key=lambda j: (f[j], -j))
+        if grow:
+            i = max(self.e_set + [self.cand], key=lambda j: (f[j], -j))
+        elif self.r_set:
+            i = min(self.r_set, key=lambda j: (f[j], j))
         else:
-            i = min(pool, key=lambda j: (f[j], j))
+            raise ImmobileError("no point available to seed the margin set")
         self.rho = float(f[i])
-        self.move(i, "S")
-        return i, "E" if from_e else "Rv"
+        return i
 
 
-def _breakpoints(w: _Working, g, beta, gamma, dc, growing, c_new):
+def _breakpoints(w: _Working, g, beta, gamma, grow, c_new):
     """(steps, case ids, indices) of every event the walk can meet next.
 
-    ``dc`` is the bound's rate per unit step. While the candidate grows it
-    ends the leg by reaching S (case 4) or the bound (case 5); otherwise the
-    bound reaching ``c_new`` ends the walk (case 0, no migration).
+    C comes down at rate 1 per unit step; C reaching ``c_new`` ends the walk
+    (case 0, no migration). A growing candidate joins S when g_c reaches 0
+    (case 4) and takes no part in case 3.
     """
     s = np.asarray(w.s_set, dtype=int)
     b = beta[1:]
     e = np.asarray(w.e_set, dtype=int)
     r = np.asarray(w.r_set, dtype=int)
-    r = r[r != w.cand] if growing else r
-    up, down = b - dc > 0, b < 0
+    r = r[r != w.cand] if grow else r
+    c = [w.cand] if grow and gamma[w.cand] > 0 else []
+    up, down = b + 1.0 > 0, b < 0
     e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
     parts = [
-        ((w.c - w.alpha[s[up]]) / (b[up] - dc), 1, s[up]),
+        ((w.c - w.alpha[s[up]]) / (b[up] + 1.0), 1, s[up]),
         (-w.alpha[s[down]] / b[down], 2, s[down]),
         (-g[e_in] / gamma[e_in], 3, e_in),
         (-g[r_in] / gamma[r_in], 3, r_in),
+        (-g[c] / gamma[c], 4, c),
+        ([w.c - c_new], 0, [-1]),
     ]
-    c = w.cand
-    if not growing:
-        parts.append(([w.c - c_new], 0, [-1]))
-    else:
-        if gamma[c] > 0:
-            parts.append(([-g[c] / gamma[c]], 4, [c]))
-        parts.append(([w.c - w.alpha[c]], 5, [c]))
     steps = np.concatenate([np.asarray(p[0], dtype=float) for p in parts])
     cases = np.concatenate([np.full(len(p[2]), p[1]) for p in parts])
     index = np.concatenate([np.asarray(p[2], dtype=int) for p in parts])
@@ -194,9 +189,16 @@ def _breakpoints(w: _Working, g, beta, gamma, dc, growing, c_new):
 
 
 def _walk(w: _Working, c_new, events, on_event):
-    """Grow the candidate's coefficient until it is consistent, then slide
-    the bound from the old C down to ``c_new``, migrating as needed."""
-    growing = w.g(w.cand) < 0.0
+    """Slide the bound from the old C down to ``c_new`` while a candidate
+    with g_c < 0 grows towards it, migrating points as needed."""
+    def migrate(case_id, idx, step, grow):
+        src = w.move(idx, _DESTINATION[case_id])
+        src = "candidate" if grow and idx == w.cand else src
+        events.append(MigrationEvent(case_id, idx, src,
+                                     _DESTINATION[case_id], step))
+        on_event(w)
+
+    c_old = w.c
     budget = MAX_EVENTS_PER_POINT * (w.x.shape[0] + 1)
     stall = 0
     while True:
@@ -204,23 +206,23 @@ def _walk(w: _Working, c_new, events, on_event):
             raise ImmobileError("homotopy walk exceeded event budget")
         budget -= 1
         g = w.g()
-        if growing and g[w.cand] >= -KKT_TOL:
-            growing = False  # consistent while others migrated
-        if not growing and w.c - c_new <= ZERO_STEP:
+        # only from the old bound does rate n bring alpha_c to c_new with C;
+        # in Rv only the growing candidate holds alpha > 0
+        grow = w.cand in w.r_set and bool(
+            w.alpha[w.cand] > 0 or (w.c == c_old and g[w.cand] < 0))
+        if w.c - c_new <= ZERO_STEP:
+            if grow:  # it reached the new bound together with C
+                migrate(5, w.cand, 0.0, grow)
             return
         if not w.s_set:
-            i, src = w.recruit_support(growing)
-            events.append(MigrationEvent(3, i, src, "S", 0.0))
-            on_event(w)
+            migrate(3, w.recruit_support(grow), 0.0, grow)
             continue
-        if growing:
-            drive, sign, dc = [w.cand], 1.0, 0.0
-        else:
-            drive, sign, dc = list(w.e_set), -1.0, -1.0
-        k_drive = sign * w.kmat[:, drive].sum(axis=1)
-        beta, gamma = _rates(w.kmat, w.s_set, k_drive, sign * len(drive))
+        drive = w.e_set + [w.cand] * grow
+        rate = np.repeat([-1.0, float(w.cand)], [len(w.e_set), grow])
+        beta, gamma = _rates(w.kmat, w.s_set, w.kmat[:, drive] @ rate,
+                             rate.sum())
         step, case_id, idx = _select(
-            *_breakpoints(w, g, beta, gamma, dc, growing, c_new))
+            *_breakpoints(w, g, beta, gamma, grow, c_new))
         if case_id in (1, 2, 3) and step <= ZERO_STEP:
             stall += 1
             if stall > len(w.alpha) + 4:
@@ -230,20 +232,10 @@ def _walk(w: _Working, c_new, events, on_event):
 
         w.alpha[w.s_set] += beta[1:] * step
         w.rho -= beta[0] * step
-        w.alpha[drive] += sign * step
-        w.c += dc * step
-        if case_id == 0:
-            continue
-        if case_id >= 4:
-            src, growing = "candidate", False
-        elif case_id == 3:
-            src = "E" if idx in w.e_set else "Rv"
-        else:
-            src = "S"
-        w.move(idx, _DESTINATION[case_id])
-        events.append(MigrationEvent(case_id, idx, src,
-                                     _DESTINATION[case_id], step))
-        on_event(w)
+        w.alpha[drive] += rate * step
+        w.c -= step
+        if case_id != 0:
+            migrate(case_id, idx, step, grow)
 
 
 def add_sample(m: OcsvmModel, x_c, on_event=None):

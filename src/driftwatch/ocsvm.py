@@ -73,6 +73,8 @@ class OcsvmModel:
         self.rho = float(rho)
         self.nu = float(nu)
         self.kernel = kernel
+        if not 0.0 < self.nu < 1.0:  # NaN too
+            raise ValidationError(f"nu {self.nu} must be in (0, 1)")
         if self.alpha.shape != (self.x.shape[0],):
             raise ShapeMismatchError("alpha length must match training size")
 

@@ -3,10 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from driftwatch import cli
 from driftwatch.cli import main
+from driftwatch.files import from_hex, to_hex
 
 
 def run_cli(*argv):
@@ -259,6 +261,26 @@ BAD_TRAIN_FLAGS = {
 }
 
 
+def edit_hex(section, key, edit):
+    section[key] = to_hex(edit(from_hex(section[key])))
+
+
+# bundle edits that each type's constructor must reject
+BAD_BUNDLE_FIELDS = {
+    "string_bundle_step": lambda p: p["state"].update(step="5"),
+    # 1 + b*t is 0 at this step for the stored lr.b of 1e-4
+    "negative_bundle_step": lambda p: p["state"].update(step=-10_000),
+    "wide_bundle_vel_a": lambda p: edit_hex(
+        p["state"], "vel_a", lambda v: np.hstack([v, v[:, :1]])),
+    "short_bundle_vel_b": lambda p: edit_hex(
+        p["state"], "vel_b", lambda v: v[:-1]),
+    "zero_bundle_nu": lambda p: p["model"].update(nu=float.hex(0.0)),
+    "above_one_bundle_nu": lambda p: p["model"].update(nu=float.hex(2.0)),
+    "short_bundle_knn": lambda p: edit_hex(
+        p["snapshot"], "knn", lambda v: v[:-1]),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         "missing_bundle", "truncated_bundle", "missing_bundle_key",
@@ -271,6 +293,7 @@ class TestMalformedInput:
         "non_numeric_drift_locations", "unknown_bench_optimizer",
         "unknown_stream_policy", "negative_bench_lr_b", "negative_train_lr_b",
         "negative_bundle_lr_b", "train_epochs_below_one", *BAD_TRAIN_FLAGS,
+        *BAD_BUNDLE_FIELDS,
     ])
     def test_exit_code_2(self, tmp_path, capsys, monkeypatch, case):
         tensor_path = tmp_path / "t.csv"
@@ -315,6 +338,9 @@ class TestMalformedInput:
             bundle.write_text(json.dumps(payload))
         elif case == "negative_bundle_lr_b":
             payload["state"]["lr"]["b"] = float.hex(-1.0)
+            bundle.write_text(json.dumps(payload))
+        elif case in BAD_BUNDLE_FIELDS:
+            BAD_BUNDLE_FIELDS[case](payload)
             bundle.write_text(json.dumps(payload))
         migrations = tmp_path / "m.jsonl"
         if case == "missing_eval_verdicts":

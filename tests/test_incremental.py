@@ -166,10 +166,13 @@ class TestAddSample:
     def test_far_outlier_lands_at_bound(self):
         x, m = make_model(seed=12)
         far = np.array([50.0, 50.0])
-        out, _ = add_sample(m, far)
+        out, events = add_sample(m, far)
         c_new = 1.0 / (out.nu * out.n)
         assert out.alpha[-1] == pytest.approx(c_new, abs=1e-9)
         assert out.decision_values(far[None, :])[0] < 0
+        last = events[-1]
+        assert (last.case_id, last.index, last.from_set, last.to_set) == \
+            (5, m.n, "candidate", "E")
 
     def test_interior_point_keeps_zero_alpha(self):
         # a point already classified well inside needs no coefficient
@@ -219,6 +222,35 @@ class TestAddSample:
             m.decision_values(probes), batch.decision_values(probes),
             atol=1e-5,
         )
+
+
+class TestCandidateSet:
+    def test_candidate_in_rv_holds_alpha_only_while_growing(self):
+        # the trials of acceptance test A3: at every event, a candidate in
+        # Rv with alpha_c > 0 is still growing, so g_c < 0
+        rng_master = np.random.default_rng(2026)
+        g_growing, recruited = [], []
+
+        def on_event(w):
+            if w.cand in w.r_set and w.alpha[w.cand] > 0:
+                g_growing.append(w.g()[w.cand])
+
+        for _ in range(50):
+            rng = np.random.default_rng(int(rng_master.integers(1 << 31)))
+            n = int(rng.integers(20, 61))
+            nu = float(rng.uniform(0.15, 0.6))
+            if nu * (n - 5) < 1.5:
+                nu = 2.0 / (n - 5)
+            x = rng.standard_normal((n, 2))
+            kernel = KernelSpec("rbf", median_pairwise_sigma(x))
+            m = train_batch(x[: n - 5], nu, kernel)
+            for k in range(n - 5, n):
+                m, events = add_sample(m, x[k], on_event=on_event)
+                recruited += [ev for ev in events if ev.case_id == 3
+                              and ev.from_set == "candidate"]
+        assert g_growing, "no candidate grew"
+        assert max(g_growing) < 0
+        assert recruited, "no candidate was recruited into an empty S"
 
 
 class TestKernelColumnsOnDemand:

@@ -272,7 +272,9 @@ class TestKktPartition:
         kernel = KernelSpec("rbf", 1.0)
         alpha = np.full(10, 0.1)
         f = kernel_matrix(kernel, x) @ alpha
-        m = OcsvmModel(x, alpha, float(f.max()), 1.0, kernel)
+        # the largest nu below 1: C = 1/n up to rounding
+        m = OcsvmModel(x, alpha, float(f.max()), np.nextafter(1.0, 0.0),
+                       kernel)
         s, e, r = kkt_partition(m)
         assert s == [] and len(e) == 10 and r == []
 

@@ -10,7 +10,8 @@ subprocess of its own, importing its own ``src/`` and ``streambench/``.
 The two runs are compared on:
 
 - the action of every event;
-- the ``(case_id, index)`` sequence of insert migrations;
+- the ``(case_id, index)`` sequence of insert migrations; when it
+  differs, both checkouts' totals and per-case counts are printed;
 - the number of batch-retrain fallbacks (``retrain_fallbacks``), which is
   printed for both checkouts;
 - the sha256 of the set-up bundle; when it differs, the JSON paths
@@ -47,6 +48,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
@@ -235,6 +237,13 @@ def child(checkout, workload, seed):
     }))
 
 
+def case_counts(record):
+    """A run's migration total and its count per case id, as text."""
+    counts = Counter(case for case, _ in record["migrations"])
+    return (f"{len(record['migrations'])} ("
+            + ", ".join(f"case{c} {counts[c]}" for c in sorted(counts)) + ")")
+
+
 def model_diff(old, new):
     """Largest |delta alpha| or |delta rho| of two final models; inf when
     their training sizes differ."""
@@ -301,6 +310,9 @@ def main(argv):
                   f"{change['retrain_fallbacks']}  "
                   f"A3 diff {parent['final_model_diff']:.1e}/"
                   f"{change['final_model_diff']:.1e}", flush=True)
+            if "migrations" in bad:
+                print(f"    migrations parent {case_counts(parent)}, "
+                      f"change {case_counts(change)}", flush=True)
             if "bundle_sha256" in bad:
                 print("\n".join(bundle_diff(parent, change)
                                 or ["    bundle: same JSON, other bytes"]),
