@@ -9,7 +9,8 @@ at rate n = c_new/(c_old - c_new), so it would reach c_new exactly when C
 does, and the margin set S absorbs the net mass. The candidate stops
 growing when g_c reaches 0 (case 4, it joins S), when it is the best
 recruit for an empty S, or when C reaches c_new (it joins E, logged as
-case 5 with step 0). Every retained point stays KKT-consistent after each
+case 5 with step 0). Each step of the walk runs to the nearest event,
+found in one pass. Every retained point stays KKT-consistent after each
 migration event.
 
 Internally the bias is carried as b = -rho so the bordered margin system
@@ -79,21 +80,6 @@ def _rates(kmat, s_order, k_drive, n_drive):
     return beta, gamma
 
 
-def _select(steps, cases, index):
-    """The next migration: the smallest viable step, ties broken on case id
-    then index. A step below -ZERO_STEP is not viable; the rest clamp at 0.
-
-    Returns (step, case_id, index).
-    """
-    viable = steps > -ZERO_STEP
-    if not np.any(viable):
-        raise ImmobileError("no positive coefficient increment available")
-    steps = np.maximum(steps[viable], 0.0)
-    cases, index = cases[viable], index[viable]
-    k = np.lexsort((index, cases, steps))[0]
-    return float(steps[k]), int(cases[k]), int(index[k])
-
-
 class _Working:
     """Mutable view over the enlarged training set during one insertion."""
 
@@ -159,33 +145,33 @@ class _Working:
         return i
 
 
-def _breakpoints(w: _Working, g, beta, gamma, grow, c_new):
-    """(steps, case ids, indices) of every event the walk can meet next.
-
-    C comes down at rate 1 per unit step; C reaching ``c_new`` ends the walk
-    (case 0, no migration). A growing candidate joins S when g_c reaches 0
-    (case 4) and takes no part in case 3.
+def _next_event(w: _Working, g, beta, gamma, grow, c_new):
+    """(step, case_id, index) of the next event: the least step, then case
+    id, then index. A step below -ZERO_STEP is not viable; the rest clamp
+    at 0. C reaching ``c_new`` (case 0, no migration) ends the walk, which
+    asks only while that step is positive. A growing candidate joins S when
+    g_c reaches 0 (case 4) and takes no part in case 3.
     """
-    s = np.asarray(w.s_set, dtype=int)
-    b = beta[1:]
-    e = np.asarray(w.e_set, dtype=int)
-    r = np.asarray(w.r_set, dtype=int)
+    s, e, r = (np.asarray(v, dtype=int) for v in (w.s_set, w.e_set, w.r_set))
     r = r[r != w.cand] if grow else r
-    c = [w.cand] if grow and gamma[w.cand] > 0 else []
+    c = np.asarray([w.cand] if grow and gamma[w.cand] > 0 else [], dtype=int)
+    b = beta[1:]
     up, down = b + 1.0 > 0, b < 0
     e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
-    parts = [
-        ((w.c - w.alpha[s[up]]) / (b[up] + 1.0), 1, s[up]),
-        (-w.alpha[s[down]] / b[down], 2, s[down]),
-        (-g[e_in] / gamma[e_in], 3, e_in),
-        (-g[r_in] / gamma[r_in], 3, r_in),
-        (-g[c] / gamma[c], 4, c),
-        ([w.c - c_new], 0, [-1]),
-    ]
-    steps = np.concatenate([np.asarray(p[0], dtype=float) for p in parts])
-    cases = np.concatenate([np.full(len(p[2]), p[1]) for p in parts])
-    index = np.concatenate([np.asarray(p[2], dtype=int) for p in parts])
-    return steps, cases, index
+    best = (float(w.c - c_new), 0, -1)
+    for steps, case_id, index in (
+            ((w.c - w.alpha[s[up]]) / (b[up] + 1.0), 1, s[up]),
+            (-w.alpha[s[down]] / b[down], 2, s[down]),
+            (-g[e_in] / gamma[e_in], 3, e_in),
+            (-g[r_in] / gamma[r_in], 3, r_in),
+            (-g[c] / gamma[c], 4, c)):
+        if index.size:
+            steps = np.where(steps > -ZERO_STEP, steps, np.inf)
+            step = max(0.0, float(steps.min()))
+            if step <= best[0]:  # otherwise this group cannot win
+                first = int(index[steps <= step].min())
+                best = min(best, (step, case_id, first))
+    return best
 
 
 def _walk(w: _Working, c_new, events, on_event):
@@ -221,8 +207,7 @@ def _walk(w: _Working, c_new, events, on_event):
         rate = np.repeat([-1.0, float(w.cand)], [len(w.e_set), grow])
         beta, gamma = _rates(w.kmat, w.s_set, w.kmat[:, drive] @ rate,
                              rate.sum())
-        step, case_id, idx = _select(
-            *_breakpoints(w, g, beta, gamma, grow, c_new))
+        step, case_id, idx = _next_event(w, g, beta, gamma, grow, c_new)
         if case_id in (1, 2, 3) and step <= ZERO_STEP:
             stall += 1
             if stall > len(w.alpha) + 4:

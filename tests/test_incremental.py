@@ -1,11 +1,13 @@
 """Single-sample insertion against batch retraining and linear-algebra oracles."""
 
 import copy
+import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
@@ -20,7 +22,7 @@ from driftwatch import (
     train_batch,
 )
 from driftwatch import incremental
-from driftwatch.incremental import _rates
+from driftwatch.incremental import ZERO_STEP, _next_event, _rates, _Working
 
 
 def make_model(n=20, seed=0, nu=0.3, dim=2):
@@ -338,3 +340,108 @@ class TestAddSampleFuzz:
             atol=1e-5,
         )
         kkt_partition(inc)
+
+
+# The event search as a table of every candidate event and one lexsort,
+# kept unchanged as the oracle for ``_next_event``.
+def _select(steps, cases, index):
+    """The next migration: the smallest viable step, ties broken on case id
+    then index. A step below -ZERO_STEP is not viable; the rest clamp at 0.
+
+    Returns (step, case_id, index).
+    """
+    viable = steps > -ZERO_STEP
+    if not np.any(viable):
+        raise ImmobileError("no positive coefficient increment available")
+    steps = np.maximum(steps[viable], 0.0)
+    cases, index = cases[viable], index[viable]
+    k = np.lexsort((index, cases, steps))[0]
+    return float(steps[k]), int(cases[k]), int(index[k])
+
+
+def _breakpoints(w: _Working, g, beta, gamma, grow, c_new):
+    """(steps, case ids, indices) of every event the walk can meet next.
+
+    C comes down at rate 1 per unit step; C reaching ``c_new`` ends the walk
+    (case 0, no migration). A growing candidate joins S when g_c reaches 0
+    (case 4) and takes no part in case 3.
+    """
+    s = np.asarray(w.s_set, dtype=int)
+    b = beta[1:]
+    e = np.asarray(w.e_set, dtype=int)
+    r = np.asarray(w.r_set, dtype=int)
+    r = r[r != w.cand] if grow else r
+    c = [w.cand] if grow and gamma[w.cand] > 0 else []
+    up, down = b + 1.0 > 0, b < 0
+    e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
+    parts = [
+        ((w.c - w.alpha[s[up]]) / (b[up] + 1.0), 1, s[up]),
+        (-w.alpha[s[down]] / b[down], 2, s[down]),
+        (-g[e_in] / gamma[e_in], 3, e_in),
+        (-g[r_in] / gamma[r_in], 3, r_in),
+        (-g[c] / gamma[c], 4, c),
+        ([w.c - c_new], 0, [-1]),
+    ]
+    steps = np.concatenate([np.asarray(p[0], dtype=float) for p in parts])
+    cases = np.concatenate([np.full(len(p[2]), p[1]) for p in parts])
+    index = np.concatenate([np.asarray(p[2], dtype=int) for p in parts])
+    return steps, cases, index
+
+
+# Few distinct values, so that steps tie exactly within and across groups;
+# the signed zeros and +-1e-15 put steps inside +-ZERO_STEP.
+G_VALUES = [0.0, -0.0, 1e-15, -1e-15, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
+RATE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+
+
+@st.composite
+def walk_states(draw):
+    """(w, g, beta, gamma, grow, c_new) as ``_walk`` hands them over: the
+    points split into S, E and Rv in any order, the candidate last."""
+    def floats(values, size):
+        return np.array(draw(st.lists(st.sampled_from(values),
+                                      min_size=size, max_size=size)))
+
+    n = draw(st.integers(1, 9))
+    cand = n - 1
+    grow = draw(st.booleans())
+    sets = draw(st.lists(st.sampled_from("SER"), min_size=n, max_size=n))
+    if grow:
+        sets[cand] = "R"
+    order = draw(st.permutations(range(n)))
+    members = {k: [i for i in order if sets[i] == k] for k in "SER"}
+    w = SimpleNamespace(s_set=members["S"], e_set=members["E"],
+                        r_set=members["R"], cand=cand,
+                        alpha=floats([0.0, 0.25, 0.5, 1.0], n), c=1.0)
+    g, gamma = floats(G_VALUES, n), floats(RATE_VALUES, n)
+    beta = floats(RATE_VALUES, len(w.s_set) + 1)
+    c_new = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    return w, g, beta, gamma, grow, c_new
+
+
+def tied_state(s_set, c_new):
+    """A walk state where S point 2 reaches the bound, E points 4 and 1
+    leave E and C reaches c_new (when it is 0.5), all at step 0.5."""
+    w = SimpleNamespace(s_set=s_set, e_set=[4, 1], r_set=[0, 3], cand=3,
+                        alpha=np.array([0.0, 1.0, 0.5, 0.0, 1.0]), c=1.0)
+    return (w, np.array([1.0, -0.5, 0.0, 1.0, -0.5]),
+            np.zeros(len(s_set) + 1), np.array([0.0, 1.0, 0.0, 0.0, 1.0]),
+            False, c_new)
+
+
+class TestNextEvent:
+    """``_next_event`` picks what the full event table and its lexsort
+    picked: the least step, then case id, then index."""
+
+    @given(walk_states())
+    @example(tied_state([2], 0.5))  # (0.5, 0, -1)
+    @example(tied_state([2], 0.25))  # (0.5, 1, 2)
+    @example(tied_state([], 0.25))  # (0.5, 3, 1)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_lexsort_reference(self, state):
+        got = _next_event(*state)
+        want = _select(*_breakpoints(*state))
+        assert got == want
+        # the step is the chosen event's own, signed zero included
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+        assert [type(v) for v in got] == [float, int, int]
