@@ -7,7 +7,8 @@ to an action: >= 0 accepts; a negative score updates the model under
 ``tensor_advised`` when p_env >= confidence (flipped to |g_raw|), under
 ``threshold`` when g_raw >= threshold, and never under ``none``; anything
 else, NaN included, is reported. The model changes only on UPDATE_MODEL,
-the location snapshot on every action except REPORT_ANOMALY.
+the location snapshot on every action except REPORT_ANOMALY. The snapshot,
+the drift baseline, holds the kNN score of every row of B.
 """
 
 import copy
@@ -77,13 +78,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class LocationSnapshot:
-    b_matrix: np.ndarray
     knn_scores: np.ndarray
 
     @classmethod
     def capture(cls, b_matrix, k):
-        b = np.array(b_matrix, dtype=np.float64)
-        return cls(b, knn_score(b, k))
+        return cls(knn_score(b_matrix, k))
 
 
 def _check_k(b, k):
@@ -108,9 +107,8 @@ def knn_score(b, k: int) -> np.ndarray:
 def environmental_probability(prev: LocationSnapshot, curr: LocationSnapshot,
                               cfg: AdvisorConfig) -> float:
     """Fraction of locations whose knn score moved beyond gamma_change."""
-    if prev.knn_scores.shape != curr.knn_scores.shape \
-            or prev.b_matrix.shape != curr.b_matrix.shape:
-        raise ShapeMismatchError("snapshots disagree on J or R")
+    if prev.knn_scores.shape != curr.knn_scores.shape:
+        raise ShapeMismatchError("snapshots disagree on J")
     change = np.abs(curr.knn_scores - prev.knn_scores)
     return float((change > cfg.gamma_change).mean())
 
@@ -141,12 +139,11 @@ class PipelineState:
     migration_log: list = field(default_factory=list)
 
     def __post_init__(self):
-        j_r = self.decomp.factors.b.shape  # J x R
-        shapes = (np.shape(self.snapshot.b_matrix),
-                  np.shape(self.snapshot.knn_scores))
-        if shapes != (j_r, j_r[:1]):
+        j_n = self.decomp.factors.b.shape[:1]
+        shape = np.shape(self.snapshot.knn_scores)
+        if shape != j_n:
             raise ShapeMismatchError(
-                f"snapshot b and knn shapes {shapes} do not fit B {j_r}")
+                f"snapshot knn shape {shape} does not fit J = {j_n[0]}")
         _check_k(self.decomp.factors.b, self.config.k_neighbors)
 
     @classmethod

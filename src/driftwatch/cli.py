@@ -96,6 +96,12 @@ def compute_metrics(verdict_rows, labels, far_window=100):
 
 # ---------------------------------------------------------------- commands
 
+def lr_schedule(args, dims):
+    """``--lr-a 0`` picks 4/(I*J); a negative rate is a ValidationError."""
+    return LrSchedule.for_slices(dims, args.lr_b) if args.lr_a == 0 \
+        else LrSchedule(args.lr_a, args.lr_b)
+
+
 def cmd_synth(args):
     drift = None
     if args.drift_start_k is not None:
@@ -128,7 +134,7 @@ def cmd_bench(args):
         kinds = [OptimizerKind(v) for v in args.optimizers.split(",")]
     tensor = load_tensor_csv(args.tensor)
     opts = StreamOptions(seed=args.seed, friction=args.friction,
-                         lr=LrSchedule(args.lr_a, args.lr_b),
+                         lr=lr_schedule(args, tensor.dims),
                          perturb_sigma=args.perturb_sigma,
                          l1_beta=args.l1_beta)
     traces = run_benchmark(tensor, args.rank, kinds, opts, args.rmse_every)
@@ -142,8 +148,7 @@ def cmd_train(args):
     if not 1 <= args.window <= k_n:
         raise ValidationError(f"window {args.window} is not in 1..K = {k_n}")
     window = DenseTensor3(tensor.data[:, :, : args.window])
-    lr = LrSchedule.for_slices(tensor.dims, args.lr_b) if args.lr_a <= 0 \
-        else LrSchedule(args.lr_a, args.lr_b)
+    lr = lr_schedule(args, tensor.dims)
     opts = StreamOptions(epochs=args.epochs, seed=args.seed, lr=lr)
     auto_gamma = args.gamma_change <= 0  # calibrated after the fit
     gamma = AdvisorConfig.gamma_change if auto_gamma else args.gamma_change
@@ -164,11 +169,10 @@ def cmd_train(args):
     if auto_gamma:
         config = replace(config, gamma_change=advisor.calibrate_gamma_change(
             decomp, args.k_neighbors))
-    snapshot = advisor.LocationSnapshot.capture(decomp.factors.b,
-                                                args.k_neighbors)
+    state = PipelineState.start(decomp, model, config)
     meta = {"tensor": args.tensor,
             "train_rmse": repr(window_rmse(window, decomp.factors))}
-    save_bundle(args.out, args.window, decomp, model, snapshot, config,
+    save_bundle(args.out, args.window, decomp, model, state.snapshot, config,
                 (lr.a, lr.b), meta)
     if args.factors_prefix:
         for name, mat in (("a", decomp.factors.a), ("b", decomp.factors.b),
@@ -228,6 +232,7 @@ def cmd_eval(args):
 # ------------------------------------------------------------------ parser
 
 def build_parser():
+    adv = AdvisorConfig
     p = argparse.ArgumentParser(prog="driftwatch")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -254,8 +259,8 @@ def build_parser():
     b.add_argument("--rank", type=int, default=2)
     b.add_argument("--optimizers", default="sgd,psgd,nesgd")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--lr-a", type=float, default=1.0)
-    b.add_argument("--lr-b", type=float, default=1.0)
+    b.add_argument("--lr-a", type=float, default=0.0)
+    b.add_argument("--lr-b", type=float, default=1e-4)
     b.add_argument("--rmse-every", type=int, default=10)
     b.add_argument("--friction", type=float, default=StreamOptions.friction)
     b.add_argument("--perturb-sigma", type=float,
@@ -274,18 +279,18 @@ def build_parser():
                    help="RBF bandwidth; <= 0 selects the median heuristic")
     t.add_argument("--optimizer", default="nesgd",
                    choices=[k.value for k in OptimizerKind])
-    t.add_argument("--epochs", type=int, default=60)
+    t.add_argument("--epochs", type=int, default=StreamOptions.epochs)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--lr-a", type=float, default=0.0,
-                   help="base learning rate; <= 0 picks 4/(I*J)")
+                   help="base learning rate; 0 picks 4/(I*J)")
     t.add_argument("--lr-b", type=float, default=1e-4)
-    t.add_argument("--k-neighbors", type=int, default=3)
+    t.add_argument("--k-neighbors", type=int, default=adv.k_neighbors)
     t.add_argument("--gamma-change", type=float, default=0.0,
                    help="<= 0 auto-calibrates from the training window")
-    t.add_argument("--confidence", type=float, default=0.9)
-    t.add_argument("--policy", default="tensor_advised",
+    t.add_argument("--confidence", type=float, default=adv.confidence)
+    t.add_argument("--policy", default=adv.update_policy.value,
                    choices=[p.value for p in UpdatePolicy])
-    t.add_argument("--threshold", type=float, default=-0.5)
+    t.add_argument("--threshold", type=float, default=adv.threshold)
     t.add_argument("--factors-prefix", default="")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)

@@ -229,7 +229,6 @@ def save_bundle(path, window, decomp: StreamDecomposition, model: OcsvmModel,
     st = decomp.state
     write_json(path, "bundle", {
         "window": window,
-        "rank": f.rank,
         "kind": decomp.kind.value,
         "factors": {"a": to_hex(f.a), "b": to_hex(f.b), "c": to_hex(f.c)},
         "state": {
@@ -243,8 +242,7 @@ def save_bundle(path, window, decomp: StreamDecomposition, model: OcsvmModel,
             "lr": {"a": to_hex(lr_params[0]), "b": to_hex(lr_params[1])},
         },
         "model": _encode_model(model),
-        "snapshot": {"b": to_hex(snapshot.b_matrix),
-                     "knn": to_hex(snapshot.knn_scores)},
+        "snapshot": {"knn": to_hex(snapshot.knn_scores)},
         "config": {
             "k_neighbors": config.k_neighbors,
             "gamma_change": to_hex(config.gamma_change),
@@ -260,7 +258,8 @@ def load_bundle(path, window_slices):
     """(window, decomp, model, snapshot, config) from a bundle file.
 
     An unreadable file is an IoError; anything that is not a well-formed
-    bundle, a window below 1 included, is a ValidationError.
+    bundle, a window below 1 included, is a ValidationError. Keys it does
+    not read, as older bundles' ``rank`` and ``snapshot.b``, are ignored.
     """
     payload = read_json(path, "bundle")
     with parsing(f"bundle {path}"):
@@ -283,8 +282,7 @@ def load_bundle(path, window_slices):
         decomp = StreamDecomposition(f, state, OptimizerKind(payload["kind"]),
                                      list(window_slices))
         model = _decode_model(payload["model"])
-        snapshot = LocationSnapshot(from_hex(payload["snapshot"]["b"]),
-                                    from_hex(payload["snapshot"]["knn"]))
+        snapshot = LocationSnapshot(from_hex(payload["snapshot"]["knn"]))
         cp = payload["config"]
         config = AdvisorConfig(
             k_neighbors=cp["k_neighbors"],

@@ -307,8 +307,9 @@ class TestProcessEvent:
             if v.action is Action.ACCEPT:
                 break
         assert v.action is Action.ACCEPT
-        np.testing.assert_array_equal(state.snapshot.b_matrix,
-                                      state.decomp.factors.b)
+        np.testing.assert_array_equal(
+            state.snapshot.knn_scores,
+            knn_score(state.decomp.factors.b, state.config.k_neighbors))
 
     def test_none_policy_never_updates_model(self):
         state, f_true = small_pipeline(UpdatePolicy.NONE)
@@ -326,12 +327,12 @@ class TestProcessEvent:
     def test_report_leaves_snapshot_untouched(self):
         state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED,
                                        gamma=1e6)  # nothing counts as moved
-        snap_b = state.snapshot.b_matrix.copy()
+        snap_knn = state.snapshot.knn_scores.copy()
         rng = np.random.default_rng(12)
         state, v = process_event(
             state, 40.0 * self.normal_slice(f_true, rng))
         assert v.action is Action.REPORT_ANOMALY
-        np.testing.assert_array_equal(state.snapshot.b_matrix, snap_b)
+        np.testing.assert_array_equal(state.snapshot.knn_scores, snap_knn)
 
     def test_verdict_fields_consistent(self):
         state, f_true = small_pipeline(UpdatePolicy.TENSOR_ADVISED)
@@ -411,8 +412,8 @@ class TestProcessEvent:
             actions.add(v.action)
         assert len(actions) == (2 if policy is UpdatePolicy.NONE else 3)
         np.testing.assert_array_equal(state.model.alpha, ref.model.alpha)
-        np.testing.assert_array_equal(state.snapshot.b_matrix,
-                                      ref.snapshot.b_matrix)
+        np.testing.assert_array_equal(state.snapshot.knn_scores,
+                                      ref.snapshot.knn_scores)
         assert state.migration_log == ref.migration_log
 
     @pytest.mark.parametrize("policy", list(UpdatePolicy))

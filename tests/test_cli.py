@@ -88,6 +88,27 @@ class TestTrainAndBundle:
                     (lr.a, lr.b), json.loads(bundle_path.read_text())["meta"])
         assert again.read_bytes() == bundle_path.read_bytes()
 
+    def test_bundle_with_rank_and_snapshot_b_still_loads(self, tmp_path):
+        # bundles used to carry "rank" and the snapshot's copy of B
+        tensor_path = tmp_path / "t.csv"
+        bundle_path = tmp_path / "bundle.json"
+        run_cli(*synth_args(tensor_path))
+        assert run_cli(*train_args(tensor_path, bundle_path)) == 0
+        payload = json.loads(bundle_path.read_text())
+        assert "rank" not in payload
+        assert set(payload["snapshot"]) == {"knn"}
+        payload["rank"] = 2
+        payload["snapshot"]["b"] = payload["factors"]["b"]
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(payload))
+        for bundle, verdicts in ((bundle_path, "v.csv"),
+                                 (old_path, "v_old.csv")):
+            assert run_cli("stream", "--bundle", str(bundle),
+                           "--tensor", str(tensor_path),
+                           "--verdicts", str(tmp_path / verdicts)) == 0
+        assert (tmp_path / "v_old.csv").read_bytes() == \
+            (tmp_path / "v.csv").read_bytes()
+
     @pytest.mark.parametrize("lr_a,lr_b,want", [
         ("0", "0.003", (4.0 / 30.0, 0.003)),  # auto rate 4/(I*J), I*J = 30
         ("0.02", "0.5", (0.02, 0.5)),
@@ -249,6 +270,21 @@ class TestBench:
         for r in rows:
             float(r["rmse"])  # parseable full-precision values
 
+    def test_default_rates_trace_every_step(self, tmp_path):
+        # no optimizer diverges at the default 4/(I*J) decaying by 1e-4; at
+        # 1/(1+t), SGD and PSGD diverge on 60x12 slices before step 10
+        tensor_path = tmp_path / "t.csv"
+        run_cli("synth", "--i", "60", "--j", "12", "--k", "40",
+                "--noise-sigma", "0.02", "--out", str(tensor_path))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--tensor", str(tensor_path),
+                       "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for kind in ("sgd", "psgd", "nesgd"):
+            steps = [int(r["step"]) for r in rows if r["optimizer"] == kind]
+            assert steps == [0, 10, 20, 30, 40]
+
 
 # train settings that are invalid on their own, by test case
 BAD_TRAIN_FLAGS = {
@@ -258,6 +294,7 @@ BAD_TRAIN_FLAGS = {
     "nan_train_sigma": ("--sigma", "nan"),
     "above_one_train_confidence": ("--confidence", "1.5"),
     "zero_train_k_neighbors": ("--k-neighbors", "0"),
+    "negative_train_lr_a": ("--lr-a", "-1"),
 }
 
 
