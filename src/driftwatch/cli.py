@@ -26,7 +26,6 @@ from .errors import (
     EmptyStreamError,
     IoError,
     NumericalError,
-    ShapeMismatchError,
     ValidationError,
 )
 from .files import (
@@ -55,41 +54,32 @@ make_lr = LrSchedule  # streambench/pipeline.py calls it by this name
 # ----------------------------------------------------------------- metrics
 
 def compute_metrics(verdict_rows, labels, far_window=100):
-    """Windowed false-alarm rates plus overall detection rate.
+    """False-alarm rate per window of ``far_window`` verdicts (the last may
+    be shorter; 0.0 with no healthy verdict) plus overall detection rate.
 
     ``verdict_rows`` are dicts with absolute time index "t" (an int) and
     "action"; a ``t`` outside the labels is a ValidationError.
     """
     if far_window < 1:
         raise ValidationError(f"far window {far_window} must be >= 1")
-    far_per_window = []
-    healthy_hits = anomalies = detected = 0
-    win_healthy = win_false = 0
-    for idx, row in enumerate(verdict_rows):
+    marks = []  # (fault, reported) per verdict
+    for row in verdict_rows:
         if not 0 <= row["t"] < len(labels):
             raise ValidationError(
                 f"verdict t = {row['t']} has no label (0..{len(labels) - 1})")
-        label = labels[row["t"]]
-        reported = row["action"] == Action.REPORT_ANOMALY.value
-        if label == synth.LABEL_ANOMALY:
-            anomalies += 1
-            detected += int(reported)
-        else:
-            win_healthy += 1
-            win_false += int(reported)
-            healthy_hits += 1
-        if (idx + 1) % far_window == 0:
-            far_per_window.append(
-                win_false / win_healthy if win_healthy else 0.0)
-            win_healthy = win_false = 0
-    if win_healthy or win_false:
-        far_per_window.append(win_false / win_healthy if win_healthy else 0.0)
-    detection = detected / anomalies if anomalies else None
+        marks.append((labels[row["t"]] == synth.LABEL_ANOMALY,
+                      row["action"] == Action.REPORT_ANOMALY.value))
+    far_per_window = []
+    for start in range(0, len(marks), far_window):
+        healthy = [rep for fault, rep in marks[start:start + far_window]
+                   if not fault]
+        far_per_window.append(sum(healthy) / len(healthy) if healthy else 0.0)
+    faults = [rep for fault, rep in marks if fault]
     return {
         "false_alarm_rate_per_window": far_per_window,
-        "detection_rate": detection,
-        "healthy_events": healthy_hits,
-        "anomalous_events": anomalies,
+        "detection_rate": sum(faults) / len(faults) if faults else None,
+        "healthy_events": len(marks) - len(faults),
+        "anomalous_events": len(faults),
         "far_window": far_window,
     }
 
@@ -187,19 +177,17 @@ def cmd_stream(args):
     window, decomp, model, snapshot, config = load_bundle(args.bundle, [])
     if k_n <= window:
         raise EmptyStreamError("no events after the training window")
-    if decomp.factors.a.shape[0] != tensor.dims[0] \
-            or decomp.factors.b.shape[0] != tensor.dims[1]:
-        raise ShapeMismatchError("bundle factors do not match tensor dims")
     if args.policy:
         with parsing("--policy"):
             config = replace(config, update_policy=UpdatePolicy(args.policy))
     if args.far_window < 1:
         raise ValidationError(f"far window {args.far_window} must be >= 1")
     labels = None
-    try:
-        labels = read_labels(labels_path(args.tensor), k_n)
-    except IoError:
-        print("no labels file; skipping metrics", file=sys.stderr)
+    if args.metrics:  # read before the stream, so bad labels leave no output
+        try:
+            labels = read_labels(labels_path(args.tensor), k_n)
+        except IoError:
+            print("no labels file; skipping metrics", file=sys.stderr)
     state = PipelineState(decomp, model, snapshot, config)
     started = time.monotonic()
     rows = []
@@ -214,7 +202,7 @@ def cmd_stream(args):
     write_verdicts(args.verdicts, rows)
     if args.migrations:
         write_migrations(args.migrations, state.migration_log)
-    if labels is not None and args.metrics:
+    if labels is not None:
         write_json(args.metrics, "metrics",
                    compute_metrics(rows, labels, args.far_window))
     print(f"streamed {len(rows)} events in {runtime_ms} ms", file=sys.stderr)

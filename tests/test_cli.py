@@ -181,6 +181,24 @@ class TestStreamAndEval:
             assert len(list(csv.DictReader(fh))) == 30
         assert not metrics.exists()
 
+    def test_plain_stream_ignores_a_malformed_labels_file(self, tmp_path,
+                                                          capsys):
+        # the labels are read only for --metrics
+        tensor_path, bundle_path = self.setup_run(tmp_path)
+        good, bad = tmp_path / "v_good.csv", tmp_path / "v_bad.csv"
+        labels = tmp_path / "t.labels.csv"
+        assert run_cli("stream", "--bundle", str(bundle_path),
+                       "--tensor", str(tensor_path),
+                       "--verdicts", str(good)) == 0
+        labels.write_text("".join(labels.read_text().splitlines(
+            keepends=True)[:51]))  # header plus steps 0..49 of 60
+        capsys.readouterr()
+        assert run_cli("stream", "--bundle", str(bundle_path),
+                       "--tensor", str(tensor_path),
+                       "--verdicts", str(bad)) == 0
+        assert "labels" not in capsys.readouterr().err
+        assert bad.read_bytes() == good.read_bytes()
+
     def test_stream_is_deterministic(self, tmp_path):
         tensor_path, bundle_path = self.setup_run(tmp_path)
         v1, v2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
@@ -241,6 +259,7 @@ class TestStreamAndEval:
                        "--tensor", str(other),
                        "--verdicts", str(tmp_path / "v.csv"))
         assert code == 2
+        assert not (tmp_path / "v.csv").exists()
 
     def test_policy_override(self, tmp_path):
         tensor_path, bundle_path = self.setup_run(tmp_path)
@@ -252,6 +271,29 @@ class TestStreamAndEval:
         with open(v_none, newline="") as fh:
             actions = {r["action"] for r in csv.DictReader(fh)}
         assert "update_model" not in actions
+
+
+class TestComputeMetrics:
+    def test_every_window_has_one_rule(self):
+        # windows of 3 over 11 verdicts: the short last window holds only
+        # faults and reads 0.0, as the full window of faults does
+        labels = ["healthy", "healthy", "anomalous",
+                  "anomalous", "anomalous", "anomalous",
+                  "healthy", "drifted-healthy", "anomalous",
+                  "anomalous", "anomalous"]
+        actions = ["report_anomaly", "accept", "report_anomaly",
+                   "accept", "report_anomaly", "accept",
+                   "update_model", "report_anomaly", "accept",
+                   "report_anomaly", "accept"]
+        labels = ["anomalous"] * 3 + labels  # the stream starts at t = 3
+        rows = [{"t": 3 + i, "action": a} for i, a in enumerate(actions)]
+        assert cli.compute_metrics(rows, labels, far_window=3) == {
+            "false_alarm_rate_per_window": [0.5, 0.0, 0.5, 0.0],
+            "detection_rate": 3 / 7,
+            "healthy_events": 4,
+            "anomalous_events": 7,
+            "far_window": 3,
+        }
 
 
 class TestBench:
@@ -343,7 +385,11 @@ class TestMalformedInput:
         verdicts = tmp_path / "v.csv"
         labels = tmp_path / "t.labels.csv"
         label_lines = labels.read_text().splitlines(keepends=True)
+        metrics = tmp_path / "m.json"
         extra = []
+        if case in ("short_labels", "negative_label_k", "duplicate_label_k",
+                    "missing_label_k"):  # labels are read for --metrics
+            extra = ["--metrics", str(metrics)]
         if case == "missing_bundle":
             bundle.unlink()
         elif case == "truncated_bundle":
@@ -433,6 +479,7 @@ class TestMalformedInput:
         # bad input is rejected before the stream runs: no partial outputs
         assert not verdicts.exists()
         assert not migrations.exists()
+        assert not metrics.exists()
         if "_train_" in case or case == "train_epochs_below_one":
             assert not bundle.exists()
         assert not (tmp_path / "s.csv").exists()
