@@ -45,7 +45,7 @@ from .files import (
     write_traces,
     write_verdicts,
 )
-from .ocsvm import KernelSpec, median_pairwise_sigma, train_batch
+from .ocsvm import KernelSpec, check_nu, median_pairwise_sigma, train_batch
 from .tensor import DenseTensor3
 
 make_lr = LrSchedule  # streambench/pipeline.py calls it by this name
@@ -137,6 +137,7 @@ def cmd_train(args):
     k_n = tensor.dims[2]
     if not 1 <= args.window <= k_n:
         raise ValidationError(f"window {args.window} is not in 1..K = {k_n}")
+    check_nu(args.nu, args.window)  # the window's rows train the model
     window = DenseTensor3(tensor.data[:, :, : args.window])
     lr = lr_schedule(args, tensor.dims)
     opts = StreamOptions(epochs=args.epochs, seed=args.seed, lr=lr)

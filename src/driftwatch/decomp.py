@@ -73,8 +73,10 @@ class NesgdState:
     def __post_init__(self):
         if not 0.0 <= self.friction < 1.0:
             raise ValidationError("friction must be in [0, 1)")
-        if self.perturb_sigma < 0 or self.l1_beta < 0:
-            raise ValidationError("perturb_sigma and l1_beta must be >= 0")
+        if not (0.0 <= self.perturb_sigma < np.inf
+                and 0.0 <= self.l1_beta < np.inf):  # NaN too
+            raise ValidationError("perturb_sigma and l1_beta must be finite "
+                                  "and >= 0")
         if not (isinstance(self.step, int) and self.step >= 0):
             raise ValidationError(f"step must be an int >= 0, not "
                                   f"{self.step!r}")
@@ -193,8 +195,11 @@ class StreamOptions:
     l1_beta: float = 1e-4
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs {self.epochs} must be >= 1")
+        if not (isinstance(self.epochs, int) and self.epochs >= 1):
+            raise ValidationError(f"epochs must be an int >= 1, not "
+                                  f"{self.epochs!r}")
+        if not 0.0 <= self.tol < np.inf:  # NaN too
+            raise ValidationError(f"tol {self.tol} must be finite and >= 0")
 
     def make_state(self, dims, rank) -> NesgdState:
         lr = LrSchedule.for_slices(dims) if self.lr is None else self.lr

@@ -118,6 +118,15 @@ def recover_rho(f_vals, alpha, c_bound):
     return float(0.5 * (lo + hi))
 
 
+def check_nu(nu, n):
+    """``nu`` must lie in (0, 1) with nu * n >= 1 for ``n`` training
+    vectors, so that the box bound C = 1/(nu * n) is at most 1."""
+    if not 0.0 < nu < 1.0:  # NaN too
+        raise ValidationError(f"nu {nu} must be in (0, 1)")
+    if nu * n < 1.0:
+        raise NuTooSmallError(f"nu*n = {nu * n:.6g} < 1")
+
+
 def train_batch(x, nu, kernel: KernelSpec) -> OcsvmModel:
     """Solve the dual by max-violating-pair coordinate updates.
 
@@ -129,10 +138,7 @@ def train_batch(x, nu, kernel: KernelSpec) -> OcsvmModel:
     n = x.shape[0]
     if n < 2:
         raise ValidationError("training needs at least 2 vectors")
-    if not 0.0 < nu < 1.0:
-        raise ValidationError("nu must be in (0, 1)")
-    if nu * n < 1.0:
-        raise NuTooSmallError(f"nu*n = {nu * n:.6g} < 1")
+    check_nu(nu, n)
     c_bound = 1.0 / (nu * n)
     kmat = kernel_matrix(kernel, x)
     alpha = np.full(n, 1.0 / n)

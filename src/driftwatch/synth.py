@@ -46,10 +46,22 @@ class SynthSpec:
         i_n, j_n, k_n = self.dims
         if min(i_n, j_n, k_n) < 1 or self.rank_true < 1:
             raise ValidationError("dims and rank_true must be positive")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
-        if self.drift is not None and not 0 <= self.drift.start_k < k_n:
-            raise ValidationError("drift start_k must be < K")
+        if not 0.0 <= self.noise_sigma < np.inf:  # NaN too
+            raise ValidationError("noise_sigma must be finite and >= 0")
+        if self.drift is not None:
+            if not 0 <= self.drift.start_k < k_n:
+                raise ValidationError("drift start_k must be < K")
+            if self.drift.locations != "ALL":
+                _check_indices("drift locations", self.drift.locations, j_n)
+        if self.anomalies is not None:
+            _check_indices("anomaly location", [self.anomalies.location], j_n)
+            _check_indices("anomaly time steps", self.anomalies.time_steps, k_n)
+
+
+def _check_indices(what, values, n):
+    if len(set(values)) != len(values) or not all(0 <= v < n for v in values):
+        raise ValidationError(f"{what} {list(values)} must be distinct and "
+                              f"in 0..{n - 1}")
 
 
 def generate(spec: SynthSpec):
@@ -77,8 +89,6 @@ def generate(spec: SynthSpec):
     if spec.anomalies is not None:
         a = spec.anomalies
         for k in a.time_steps:
-            if not 0 <= k < k_n:
-                raise ValidationError(f"anomaly time step {k} out of range")
             data[:, a.location, k] = (
                 data[:, a.location, k] + a.mu_shift) * a.sigma_scale
             labels[k] = LABEL_ANOMALY

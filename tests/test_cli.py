@@ -63,6 +63,18 @@ class TestSynth:
         assert labels[30] == "anomalous" and labels[35] == "anomalous"
         assert labels[0] == "healthy"
 
+    @pytest.mark.parametrize("locations,want", [
+        ("1,3", "anomalous"), ("ALL", "drifted-healthy")],
+        ids=["partial", "global"])
+    def test_drift_labels(self, tmp_path, locations, want):
+        out = tmp_path / "t.csv"
+        assert run_cli(*synth_args(out, k=30, anomalies=""),
+                       "--drift-start-k", "20", "--drift-mu-shift", "1.0",
+                       "--drift-locations", locations) == 0
+        with open(tmp_path / "t.labels.csv", newline="") as fh:
+            labels = [r["label"] for r in csv.DictReader(fh)]
+        assert labels == ["healthy"] * 20 + [want] * 10
+
 
 class TestTrainAndBundle:
     def test_bundle_round_trip_is_exact(self, tmp_path):
@@ -124,6 +136,22 @@ class TestTrainAndBundle:
                        "--lr-a", lr_a, "--lr-b", lr_b) == 0
         _, decomp, _, _, _ = load_bundle(str(bundle_path), [])
         assert decomp.state.lr == LrSchedule(*want)
+
+    def test_default_gamma_change_is_calibrated(self, tmp_path):
+        from driftwatch.advisor import calibrate_gamma_change
+        from driftwatch.files import load_bundle, load_tensor_csv
+
+        tensor_path = tmp_path / "t.csv"
+        bundle_path = tmp_path / "bundle.json"
+        run_cli(*synth_args(tensor_path))
+        args = train_args(tensor_path, bundle_path)
+        at = args.index("--gamma-change")
+        del args[at:at + 2]  # the default, 0: calibrated after the fit
+        assert run_cli(*args) == 0
+        tensor = load_tensor_csv(str(tensor_path))
+        _, decomp, _, _, config = load_bundle(
+            str(bundle_path), [tensor.slice_at(k) for k in range(30)])
+        assert config.gamma_change == calibrate_gamma_change(decomp, 2)
 
     def test_window_larger_than_k_fails(self, tmp_path):
         tensor_path = tmp_path / "t.csv"
@@ -261,6 +289,25 @@ class TestStreamAndEval:
         assert code == 2
         assert not (tmp_path / "v.csv").exists()
 
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        from driftwatch.files import load_tensor_csv, save_tensor_csv
+        from driftwatch.tensor import DenseTensor3
+
+        tensor_path, bundle_path = self.setup_run(tmp_path)
+        data = np.array(load_tensor_csv(str(tensor_path)).data)
+        data[:, :, 35] *= 1e200  # a post-window slice
+        huge = tmp_path / "huge.csv"
+        save_tensor_csv(DenseTensor3(data), str(huge))
+        verdicts = tmp_path / "v.csv"
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run_cli("stream", "--bundle", str(bundle_path),
+                           "--tensor", str(huge),
+                           "--verdicts", str(verdicts)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [diverged]")
+        assert not verdicts.exists()
+
     def test_policy_override(self, tmp_path):
         tensor_path, bundle_path = self.setup_run(tmp_path)
         v_none = tmp_path / "v_none.csv"
@@ -337,6 +384,28 @@ BAD_TRAIN_FLAGS = {
     "above_one_train_confidence": ("--confidence", "1.5"),
     "zero_train_k_neighbors": ("--k-neighbors", "0"),
     "negative_train_lr_a": ("--lr-a", "-1"),
+    "above_one_train_nu": ("--nu", "1.5"),
+    "nan_train_nu": ("--nu", "nan"),
+    "too_small_train_nu": ("--nu", "0.01"),  # nu * window = 0.3 < 1
+}
+
+# synth settings that generate cannot honour (J = 5, K = 60)
+BAD_SYNTH_FLAGS = {
+    "out_of_range_synth_anomaly_location": ("--anomaly-location", "7"),
+    "negative_synth_anomaly_location": ("--anomaly-location", "-1"),
+    "out_of_range_synth_anomaly_step": ("--anomaly-steps", "40,60"),
+    "repeated_synth_anomaly_steps": ("--anomaly-steps", "5,5"),
+    "out_of_range_synth_drift_location": (
+        "--drift-start-k", "20", "--drift-locations", "0,9"),
+    "repeated_synth_drift_locations": (
+        "--drift-start-k", "20", "--drift-locations", "0,0,0"),
+    "nan_synth_noise_sigma": ("--noise-sigma", "nan"),
+}
+
+# bench optimizer settings that are invalid on their own
+BAD_BENCH_FLAGS = {
+    "nan_bench_perturb_sigma": ("--perturb-sigma", "nan"),
+    "nan_bench_l1_beta": ("--l1-beta", "nan"),
 }
 
 
@@ -359,6 +428,8 @@ BAD_BUNDLE_FIELDS = {
         p["snapshot"], "knn", lambda v: v[:-1]),
     "j_bundle_k_neighbors": lambda p: p["config"].update(
         k_neighbors=len(p["factors"]["b"])),
+    "nan_bundle_l1_beta": lambda p: p["state"].update(
+        l1_beta=float.hex(float("nan"))),
 }
 
 
@@ -370,11 +441,12 @@ class TestMalformedInput:
         "negative_label_k", "duplicate_label_k", "missing_label_k",
         "non_numeric_tensor_value", "non_numeric_dims",
         "negative_train_window", "negative_bundle_window",
-        "negative_verdict_t", "non_numeric_anomaly_steps",
-        "non_numeric_drift_locations", "unknown_bench_optimizer",
-        "unknown_stream_policy", "negative_bench_lr_b", "negative_train_lr_b",
-        "negative_bundle_lr_b", "train_epochs_below_one", *BAD_TRAIN_FLAGS,
-        *BAD_BUNDLE_FIELDS,
+        "negative_verdict_t", "eval_far_window_zero",
+        "non_numeric_anomaly_steps", "non_numeric_drift_locations",
+        "unknown_bench_optimizer", "unknown_stream_policy",
+        "negative_bench_lr_b", "negative_train_lr_b", "negative_bundle_lr_b",
+        "train_epochs_below_one", *BAD_TRAIN_FLAGS, *BAD_SYNTH_FLAGS,
+        *BAD_BENCH_FLAGS, *BAD_BUNDLE_FIELDS,
     ])
     def test_exit_code_2(self, tmp_path, capsys, monkeypatch, case):
         tensor_path = tmp_path / "t.csv"
@@ -437,6 +509,13 @@ class TestMalformedInput:
                            "-1,0.1,0.0,0.1,report_anomaly\n")
             argv = ["eval", "--verdicts", str(bad),
                     "--labels", str(tmp_path / "t.labels.csv")]
+        elif case == "eval_far_window_zero":
+            good = tmp_path / "good_v.csv"
+            good.write_text("t,g_raw,p_env,g_advised,action\n"
+                            "30,0.1,0.0,0.1,accept\n")
+            argv = ["eval", "--verdicts", str(good),
+                    "--labels", str(tmp_path / "t.labels.csv"),
+                    "--far-window", "0"]
         elif case == "negative_train_window":
             bundle.unlink()
             argv = train_args(tensor_path, bundle, window=-20)
@@ -457,9 +536,15 @@ class TestMalformedInput:
         elif case == "unknown_bench_optimizer":
             argv = ["bench", "--tensor", str(tensor_path), "--optimizers",
                     "sgd,foo", "--out", str(tmp_path / "bench.csv")]
+        elif case in BAD_SYNTH_FLAGS:
+            argv = [*synth_args(tmp_path / "s.csv"), *BAD_SYNTH_FLAGS[case]]
         elif case == "negative_bench_lr_b":
             argv = ["bench", "--tensor", str(tensor_path), "--lr-a", "0.02",
                     "--lr-b", "-1", "--out", str(tmp_path / "bench.csv")]
+        elif case in BAD_BENCH_FLAGS:
+            argv = ["bench", "--tensor", str(tensor_path),
+                    "--out", str(tmp_path / "bench.csv"),
+                    *BAD_BENCH_FLAGS[case]]
         elif case == "unknown_stream_policy":
             argv = ["stream", "--bundle", str(bundle),
                     "--tensor", str(tensor_path), "--verdicts", str(verdicts),

@@ -178,6 +178,23 @@ class TestTrainBatch:
             k_probe @ m.alpha - m.rho, k_probe @ alpha_o - rho_o, atol=1e-5
         )
 
+    def test_empty_margin_rho_is_interval_midpoint(self):
+        # 4 points at nu = 0.5: C = 0.5, and this fit puts every alpha at 0
+        # or C, so rho comes from the KKT interval, not the margin set
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 2))
+        kernel = KernelSpec("rbf", median_pairwise_sigma(x))
+        m = train_batch(x, 0.5, kernel)
+        at_bound = m.alpha >= m.c_bound * (1 - 1e-9)
+        at_zero = m.alpha <= m.c_bound * 1e-9
+        assert np.all(at_bound | at_zero)
+        f = kernel_matrix(kernel, x) @ m.alpha
+        lo, hi = f[at_bound].max(), f[at_zero].min()
+        assert lo <= hi
+        assert m.rho == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        alpha_o, _, _ = qp_oracle(x, 0.5, kernel, iters=20_000)
+        np.testing.assert_allclose(m.alpha, alpha_o, atol=1e-8)
+
     def test_invariants_hold(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((25, 3))
