@@ -32,9 +32,11 @@ each under ``--policy threshold`` and ``--policy none`` on the same
 bundle, in an empty temporary directory of its own. Every file they write,
 and the standard output of ``eval``, is compared byte for byte; one line
 is printed per file, and a file that differs prints its largest absolute
-numeric difference (hex floats included). The CLI runs match when, in
-every file, the text between the numbers is equal and no number differs
-by more than ``G_RAW_TOL``.
+numeric difference (hex floats included). A JSON file, and the standard
+output of ``eval``, that does not match also prints the JSON paths that
+were added, removed or changed, as for the set-up bundle. The CLI runs
+match when, in every file, the text between the numbers is equal and no
+number differs by more than ``G_RAW_TOL``.
 
 The exit status is 1 on any mismatch, 0 otherwise. Nothing under
 ``streambench/`` is modified.
@@ -94,15 +96,15 @@ def json_leaves(value, path=""):
     return leaves
 
 
-def bundle_diff(parent, change):
-    """Lines naming the bundle paths added or removed, and one line per
-    changed path with its largest absolute numeric difference."""
-    old, new = parent["bundle_leaves"], change["bundle_leaves"]
+def leaf_diff(what, old, new):
+    """Lines naming the JSON paths of ``what`` added or removed, and one
+    line per changed path with its largest absolute numeric difference;
+    ``old`` and ``new`` are ``json_leaves`` of the two files."""
     groups = (("added", sorted(new.keys() - old.keys())),
               ("removed", sorted(old.keys() - new.keys())))
-    lines = [f"    bundle {name}: {', '.join(paths)}"
+    lines = [f"    {what} {name}: {', '.join(paths)}"
              for name, paths in groups if paths]
-    lines += [f"    bundle changed: {path:24s} "
+    lines += [f"    {what} changed: {path:24s} "
               f"max|dnumber| {numeric_diff(old[path], new[path]):.1e}"
               for path in sorted(old.keys() & new.keys())
               if old[path] != new[path]]
@@ -170,6 +172,12 @@ def compare_cli(parent_dir, change_dir):
         bad += not ok
         print(f"cli {name:19s} {'match ' if ok else 'MISMATCH'} "
               f"max|dnumber| {diff:.1e}", flush=True)
+        if not ok and (name.endswith(".json") or name == EVAL_STDOUT):
+            old, new = (json_leaves(json.loads(files[name]))
+                        for files in (parent, change))
+            print("\n".join(leaf_diff(name, old, new)
+                            or [f"    {name}: same JSON, other text"]),
+                  flush=True)
     return bad
 
 
@@ -314,7 +322,8 @@ def main(argv):
                 print(f"    migrations parent {case_counts(parent)}, "
                       f"change {case_counts(change)}", flush=True)
             if "bundle_sha256" in bad:
-                print("\n".join(bundle_diff(parent, change)
+                print("\n".join(leaf_diff("bundle", parent["bundle_leaves"],
+                                          change["bundle_leaves"])
                                 or ["    bundle: same JSON, other bytes"]),
                       flush=True)
     print("behaviour matches" if not mismatches
