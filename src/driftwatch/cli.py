@@ -181,10 +181,10 @@ def cmd_stream(args):
     if args.policy:
         with parsing("--policy"):
             config = replace(config, update_policy=UpdatePolicy(args.policy))
-    if args.far_window < 1:
-        raise ValidationError(f"far window {args.far_window} must be >= 1")
     labels = None
-    if args.metrics:  # read before the stream, so bad labels leave no output
+    if args.metrics:  # checked before the stream: bad input leaves no output
+        if args.far_window < 1:
+            raise ValidationError(f"far window {args.far_window} must be >= 1")
         try:
             labels = read_labels(labels_path(args.tensor), k_n)
         except IoError:

@@ -21,6 +21,13 @@ set S and solves it once; no inverse is carried from step to step, so a
 point joining or leaving S is a list edit. A step whose Q has a 2-norm
 condition number above ``COND_LIMIT`` raises ImmobileError.
 
+S and E are short ordered index lists; their order fixes Q's layout and
+the order of the drive's sums. Rv, which holds nearly every point, is one
+boolean mask over the n+1 rows. So no step of the walk does Python work
+that grows with n: S, E and the candidate are handled one point at a
+time on Python floats, and every pass over all rows is a numpy vector
+operation.
+
 An insert evaluates kernel columns only for S, E, the candidate and the
 points recruited into S, on first use, never the whole (n+1)^2 Gram.
 """
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImmobileError, KktViolationError, ValidationError
-from .ocsvm import OcsvmModel, kernel_matrix, partition, recover_rho
+from .ocsvm import OcsvmModel, kernel_matrix, kkt_masks, recover_rho
 
 ZERO_STEP = 1e-14
 COND_LIMIT = 1e12  # largest condition number of Q a step may solve
@@ -93,22 +100,25 @@ class _Working:
         # only ``filled`` columns hold values; nonzero alphas, S, candidate
         self.kmat = np.empty((self.cand + 1, self.cand + 1), order="F")
         self.filled = np.zeros(self.cand + 1, dtype=bool)
-        self.fill(np.append(np.flatnonzero(m.alpha), self.cand))
-        self.s_set, self.e_set, self.r_set = partition(
-            self.g()[: self.cand], m.alpha, m.c_bound)
-        self.r_set.append(self.cand)
+        self.fill(np.flatnonzero(m.alpha).tolist() + [self.cand])
+        self.g0 = self.g()  # the decision values the walk starts from
+        margin, at_bound, at_zero = kkt_masks(
+            self.g0[: self.cand], m.alpha, m.c_bound)
+        self.s_set = np.flatnonzero(margin).tolist()
+        self.e_set = np.flatnonzero(at_bound).tolist()
+        self.r_mask = np.append(at_zero, True)  # the candidate starts in Rv
 
     def g(self):
         return self.f_vals() - self.rho
 
     def f_vals(self):
-        nz = np.flatnonzero(self.alpha)
+        nz = self.alpha.nonzero()[0]
         return self.kmat[:, nz] @ self.alpha[nz]
 
     def fill(self, cols):
         """Compute the kernel columns ``cols`` that are not filled yet."""
-        cols = np.asarray(cols, dtype=int)[~self.filled[cols]]
-        if cols.size:
+        cols = [i for i in cols if not self.filled[i]]
+        if cols:
             self.kmat[:, cols] = kernel_matrix(self.kernel, self.x,
                                                self.x[cols])
             self.filled[cols] = True
@@ -117,14 +127,23 @@ class _Working:
         """Move index i into set ``dst`` ("S", "E" or "Rv") and return the
         set it left; a point leaving for a bound set takes that bound's
         coefficient."""
-        sets = {"S": self.s_set, "E": self.e_set, "Rv": self.r_set}
-        src = next(k for k, v in sets.items() if i in v)
-        sets[src].remove(i)
+        if self.r_mask[i]:
+            src = "Rv"
+        elif i in self.s_set:
+            src = "S"
+            self.s_set.remove(i)
+        else:
+            src = "E"
+            self.e_set.remove(i)
+        self.r_mask[i] = dst == "Rv"
         if dst == "S":
             self.fill([i])
+            self.s_set.append(i)
+        elif dst == "E":
+            self.alpha[i] = self.c
+            self.e_set.append(i)
         else:
-            self.alpha[i] = self.c if dst == "E" else 0.0
-        sets[dst].append(i)
+            self.alpha[i] = 0.0
         return src
 
     def recruit_support(self, grow):
@@ -137,8 +156,9 @@ class _Working:
         f = self.f_vals()
         if grow:
             i = max(self.e_set + [self.cand], key=lambda j: (f[j], -j))
-        elif self.r_set:
-            i = min(self.r_set, key=lambda j: (f[j], j))
+        elif self.r_mask.any():
+            r = np.flatnonzero(self.r_mask)
+            i = int(r[np.argmin(f[r])])  # the first of equal f: least index
         else:
             raise ImmobileError("no point available to seed the margin set")
         self.rho = float(f[i])
@@ -151,32 +171,47 @@ def _next_event(w: _Working, g, beta, gamma, grow, c_new):
     at 0. C reaching ``c_new`` (case 0, no migration) ends the walk, which
     asks only while that step is positive. A growing candidate joins S when
     g_c reaches 0 (case 4) and takes no part in case 3.
+
+    An event of S, E or the candidate can only come first with a step
+    below case 0's. These are a few points each, so their steps are taken
+    one by one on Python floats, the same IEEE operations numpy would do.
+    Rv's steps are one vector over all rows, infinite off Rv.
     """
-    s, e, r = (np.asarray(v, dtype=int) for v in (w.s_set, w.e_set, w.r_set))
-    r = r[r != w.cand] if grow else r
-    c = np.asarray([w.cand] if grow and gamma[w.cand] > 0 else [], dtype=int)
-    b = beta[1:]
-    up, down = b + 1.0 > 0, b < 0
-    e_in, r_in = e[gamma[e] > 0], r[gamma[r] < 0]
-    best = (float(w.c - c_new), 0, -1)
-    for steps, case_id, index in (
-            ((w.c - w.alpha[s[up]]) / (b[up] + 1.0), 1, s[up]),
-            (-w.alpha[s[down]] / b[down], 2, s[down]),
-            (-g[e_in] / gamma[e_in], 3, e_in),
-            (-g[r_in] / gamma[r_in], 3, r_in),
-            (-g[c] / gamma[c], 4, c)):
-        if index.size:
-            steps = np.where(steps > -ZERO_STEP, steps, np.inf)
-            step = max(0.0, float(steps.min()))
-            if step <= best[0]:  # otherwise this group cannot win
-                first = int(index[steps <= step].min())
-                best = min(best, (step, case_id, first))
+    limit = float(w.c - c_new)
+    steps = []
+    for i, a, b in zip(w.s_set, map(w.alpha.item, w.s_set),
+                       beta[1:].tolist()):
+        if b + 1.0 > 0:
+            steps.append(((w.c - a) / (b + 1.0), 1, i))
+        if b < 0:
+            steps.append((-a / b, 2, i))
+    for i, g_i, gamma_i in zip(w.e_set, map(g.item, w.e_set),
+                               map(gamma.item, w.e_set)):
+        if gamma_i > 0:
+            steps.append((-g_i / gamma_i, 3, i))
+    if grow and gamma[w.cand] > 0:
+        steps.append((-float(g[w.cand]) / float(gamma[w.cand]), 4, w.cand))
+    best = min([(limit, 0, -1)] + [(max(0.0, step), case_id, i)
+                                   for step, case_id, i in steps
+                                   if -ZERO_STEP < step < limit])
+    r_in = w.r_mask & (gamma < 0)
+    if grow:
+        r_in[w.cand] = False
+    r_steps = np.divide(-g, gamma, out=np.full(len(g), np.inf), where=r_in)
+    low = r_steps.min()
+    if not low > -ZERO_STEP:  # some step is not viable, or NaN
+        r_steps[~(r_steps > -ZERO_STEP)] = np.inf
+        low = r_steps.min()
+    step = max(0.0, float(low))
+    if step <= best[0]:  # otherwise Rv cannot win
+        best = min(best, (step, 3, int(np.argmax(r_steps <= step))))
     return best
 
 
 def _walk(w: _Working, c_new, events, on_event):
     """Slide the bound from the old C down to ``c_new`` while a candidate
-    with g_c < 0 grows towards it, migrating points as needed."""
+    with g_c < 0 grows towards it, migrating points as needed. Returns the
+    decision values of the state it ends in."""
     def migrate(case_id, idx, step, grow):
         src = w.move(idx, _DESTINATION[case_id])
         src = "candidate" if grow and idx == w.cand else src
@@ -187,26 +222,33 @@ def _walk(w: _Working, c_new, events, on_event):
     c_old = w.c
     budget = MAX_EVENTS_PER_POINT * (w.x.shape[0] + 1)
     stall = 0
+    g = w.g0
     while True:
         if budget <= 0:
             raise ImmobileError("homotopy walk exceeded event budget")
         budget -= 1
-        g = w.g()
         # only from the old bound does rate n bring alpha_c to c_new with C;
         # in Rv only the growing candidate holds alpha > 0
-        grow = w.cand in w.r_set and bool(
-            w.alpha[w.cand] > 0 or (w.c == c_old and g[w.cand] < 0))
+        grow = bool(w.r_mask[w.cand] and (
+            w.alpha[w.cand] > 0 or (w.c == c_old and g[w.cand] < 0)))
         if w.c - c_new <= ZERO_STEP:
             if grow:  # it reached the new bound together with C
                 migrate(5, w.cand, 0.0, grow)
-            return
+                return w.g()
+            return g
         if not w.s_set:
             migrate(3, w.recruit_support(grow), 0.0, grow)
+            g = w.g()
             continue
         drive = w.e_set + [w.cand] * grow
-        rate = np.repeat([-1.0, float(w.cand)], [len(w.e_set), grow])
-        beta, gamma = _rates(w.kmat, w.s_set, w.kmat[:, drive] @ rate,
-                             rate.sum())
+        rate = np.full(len(drive), -1.0)
+        if grow:
+            rate[-1] = w.cand
+        k_drive = w.kmat[:, drive] @ rate
+        # S as one index array for _rates' gathers; the rates are integers,
+        # so their sum is exact in any order
+        beta, gamma = _rates(w.kmat, np.array(w.s_set), k_drive,
+                             float(w.cand * grow - len(w.e_set)))
         step, case_id, idx = _next_event(w, g, beta, gamma, grow, c_new)
         if case_id in (1, 2, 3) and step <= ZERO_STEP:
             stall += 1
@@ -215,12 +257,15 @@ def _walk(w: _Working, c_new, events, on_event):
         else:
             stall = 0
 
-        w.alpha[w.s_set] += beta[1:] * step
+        # point by point: the same IEEE products and sums as a vector update
+        for i, rate_i in zip(w.s_set + drive,
+                             beta[1:].tolist() + rate.tolist()):
+            w.alpha[i] += rate_i * step
         w.rho -= beta[0] * step
-        w.alpha[drive] += rate * step
         w.c -= step
         if case_id != 0:
             migrate(case_id, idx, step, grow)
+        g = w.g()
 
 
 def add_sample(m: OcsvmModel, x_c, on_event=None):
@@ -238,14 +283,15 @@ def add_sample(m: OcsvmModel, x_c, on_event=None):
     w = _Working(m, x_c)
     c_new = 1.0 / (m.nu * (m.n + 1))
     try:
-        _walk(w, c_new, events, on_event or (lambda _w: None))
+        g = _walk(w, c_new, events, on_event or (lambda _w: None))
     except np.linalg.LinAlgError as exc:
         raise ImmobileError(f"linear algebra failure: {exc}") from exc
     if not w.s_set:
         # rho is only pinned to an interval; match the batch convention
         w.rho = recover_rho(w.f_vals(), w.alpha, c_new)
+        g = w.g()
     try:
-        partition(w.g(), w.alpha, c_new)
+        kkt_masks(g, w.alpha, c_new)
     except KktViolationError as exc:
         raise ImmobileError(f"update left a KKT violation: {exc}") from exc
     return OcsvmModel(w.x, w.alpha, w.rho, m.nu, m.kernel), events

@@ -169,14 +169,21 @@ def kkt_partition(m: OcsvmModel, tol: float = KKT_TOL):
 def partition(g, alpha, c_bound, tol: float = KKT_TOL):
     """(S, E, Rv) index lists from decision values ``g`` and coefficients;
     raises KktViolationError naming the worst violator."""
+    return tuple(np.flatnonzero(mask).tolist()
+                 for mask in kkt_masks(g, alpha, c_bound, tol))
+
+
+def kkt_masks(g, alpha, c_bound, tol: float = KKT_TOL):
+    """(S, E, Rv) boolean masks from decision values ``g`` and
+    coefficients; raises KktViolationError naming the worst violator."""
     bound_eps = max(1e-12, 1e-6 * c_bound)
     at_zero = alpha <= bound_eps
     at_bound = ~at_zero & (alpha >= c_bound - bound_eps)
-    margin = ~at_zero & ~at_bound
-    err = np.where(at_zero, -g, np.where(at_bound, g, np.abs(g))) - tol
-    if np.any(err > 0):
+    margin = ~(at_zero | at_bound)
+    outside = np.where(at_zero, -g, np.where(at_bound, g, np.abs(g)))
+    if np.any(outside > tol):
+        err = outside - tol
         worst = int(np.argmax(err))
         raise KktViolationError(
             f"index {worst} violates KKT by {err[worst]:.3e}")
-    return (np.flatnonzero(margin).tolist(), np.flatnonzero(at_bound).tolist(),
-            np.flatnonzero(at_zero).tolist())
+    return margin, at_bound, at_zero

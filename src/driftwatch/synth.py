@@ -52,6 +52,10 @@ class SynthSpec:
             if not 0 <= self.drift.start_k < k_n:
                 raise ValidationError("drift start_k must be < K")
             if self.drift.locations != "ALL":
+                # an empty list would shift nothing yet label every step
+                # from start_k anomalous
+                if not len(self.drift.locations):
+                    raise ValidationError("drift locations must not be empty")
                 _check_indices("drift locations", self.drift.locations, j_n)
         if self.anomalies is not None:
             _check_indices("anomaly location", [self.anomalies.location], j_n)

@@ -132,7 +132,7 @@ class TestA3IncrementalEqualsBatch:
             assert abs(g[i]) <= tol, (i, "margin", g[i])
         for i in w.e_set:
             assert g[i] <= tol, (i, "bound", g[i])
-        for i in w.r_set:
+        for i in np.flatnonzero(w.r_mask):
             if i == w.cand:
                 continue
             assert g[i] >= -tol, (i, "interior", g[i])

@@ -1,7 +1,7 @@
 """Location-change advisor: scores, probabilities, and event handling."""
 
 import copy
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from driftwatch import (
     TooFewLocationsError,
     UpdatePolicy,
     ValidationError,
+    add_sample,
     calibrate_gamma_change,
     decompose_stream_init,
     environmental_probability,
@@ -362,6 +363,29 @@ class TestProcessEvent:
                 updates += 1
         assert state.model.n == n0 + updates
         assert updates > 0
+
+    def test_migration_log_entries_are_asdict(self, monkeypatch):
+        state, f_true = small_pipeline(UpdatePolicy.THRESHOLD)
+        # every negative event updates
+        state.config = replace(state.config, threshold=-1e9)
+        returned = []
+
+        def recording(model, x_c, on_event=None):
+            model, events = add_sample(model, x_c)
+            returned.extend(events)
+            return model, events
+
+        monkeypatch.setattr(advisor, "add_sample", recording)
+        rng = np.random.default_rng(14)
+        for scale in (3.0, 5.0, 8.0):
+            state, _ = process_event(
+                state, scale * self.normal_slice(f_true, rng))
+        assert returned, "no insert migrated a point"
+        assert state.migration_log == [asdict(ev) for ev in returned]
+        for entry, ev in zip(state.migration_log, returned):
+            assert list(entry) == list(asdict(ev))
+            assert [type(v) for v in entry.values()] == \
+                [type(v) for v in asdict(ev).values()]
 
     def test_immobile_insert_falls_back_to_batch_retrain(self, monkeypatch):
         state, f_true = small_pipeline(UpdatePolicy.THRESHOLD)

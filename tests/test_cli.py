@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from driftwatch import cli
+from driftwatch import DriftSpec, SynthSpec, ValidationError, cli
 from driftwatch.cli import main
 from driftwatch.files import from_hex, to_hex
 
@@ -74,6 +74,11 @@ class TestSynth:
         with open(tmp_path / "t.labels.csv", newline="") as fh:
             labels = [r["label"] for r in csv.DictReader(fh)]
         assert labels == ["healthy"] * 20 + [want] * 10
+
+    def test_spec_rejects_empty_drift_locations(self):
+        # the command line reads an empty --drift-locations as ALL
+        with pytest.raises(ValidationError):
+            SynthSpec(dims=(4, 3, 20), drift=DriftSpec(5, 1.0, 1.0, []))
 
 
 class TestTrainAndBundle:
@@ -226,6 +231,17 @@ class TestStreamAndEval:
                        "--verdicts", str(bad)) == 0
         assert "labels" not in capsys.readouterr().err
         assert bad.read_bytes() == good.read_bytes()
+
+    def test_plain_stream_ignores_the_far_window(self, tmp_path):
+        # the window is read only for --metrics
+        tensor_path, bundle_path = self.setup_run(tmp_path)
+        good, zero = tmp_path / "v_good.csv", tmp_path / "v_zero.csv"
+        for verdicts, window in ((good, "100"), (zero, "0")):
+            assert run_cli("stream", "--bundle", str(bundle_path),
+                           "--tensor", str(tensor_path),
+                           "--verdicts", str(verdicts),
+                           "--far-window", window) == 0
+        assert zero.read_bytes() == good.read_bytes()
 
     def test_stream_is_deterministic(self, tmp_path):
         tensor_path, bundle_path = self.setup_run(tmp_path)
@@ -459,8 +475,9 @@ class TestMalformedInput:
         label_lines = labels.read_text().splitlines(keepends=True)
         metrics = tmp_path / "m.json"
         extra = []
-        if case in ("short_labels", "negative_label_k", "duplicate_label_k",
-                    "missing_label_k"):  # labels are read for --metrics
+        if case in ("far_window_zero", "short_labels", "negative_label_k",
+                    "duplicate_label_k", "missing_label_k"):
+            # the window and the labels are read for --metrics
             extra = ["--metrics", str(metrics)]
         if case == "missing_bundle":
             bundle.unlink()
@@ -475,7 +492,7 @@ class TestMalformedInput:
         elif case == "unwritable_stream_verdicts":
             verdicts = tmp_path / "no_such_dir" / "v.csv"
         elif case == "far_window_zero":
-            extra = ["--far-window", "0"]
+            extra += ["--far-window", "0"]
         elif case == "short_labels":  # header plus steps 0..49 of 60
             labels.write_text("".join(label_lines[:51]))
         elif case == "negative_label_k":

@@ -234,7 +234,7 @@ class TestCandidateSet:
         g_growing, recruited = [], []
 
         def on_event(w):
-            if w.cand in w.r_set and w.alpha[w.cand] > 0:
+            if w.r_mask[w.cand] and w.alpha[w.cand] > 0:
                 g_growing.append(w.g()[w.cand])
 
         for _ in range(50):
@@ -342,6 +342,46 @@ class TestAddSampleFuzz:
         kkt_partition(inc)
 
 
+class TestBookkeeping:
+    """After every migration S, E and Rv are disjoint and together hold
+    every row of the grown training set, also on walks that end in
+    ImmobileError."""
+
+    @staticmethod
+    def walk(seed, twin):
+        """Insert into a seeded model a fresh point or an exact twin of a
+        training row; returns (raised ImmobileError, migrations checked)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(15, 40))
+        nu = float(rng.uniform(0.15, 0.6))
+        x = rng.standard_normal((n, 2))
+        m = train_batch(x, nu, KernelSpec("rbf", median_pairwise_sigma(x)))
+        x_c = x[int(rng.integers(n))] if twin else 1.5 * rng.standard_normal(2)
+        checked = []
+
+        def check(w):
+            rows = w.s_set + w.e_set + np.flatnonzero(w.r_mask).tolist()
+            assert sorted(rows) == list(range(n + 1))
+            checked.append(w)
+
+        try:
+            add_sample(m, x_c, on_event=check)
+        except ImmobileError:
+            return True, len(checked)
+        return False, len(checked)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sets_partition_the_rows(self, seed, twin):
+        self.walk(seed, twin)
+
+    @pytest.mark.parametrize("seed", [47, 128])
+    def test_twin_walks_end_immobile(self, seed):
+        # Q turns singular once both twins sit in S
+        raised, checked = self.walk(seed, twin=True)
+        assert raised and checked > 0
+
+
 # The event search as a table of every candidate event and one lexsort,
 # kept unchanged as the oracle for ``_next_event``.
 def _select(steps, cases, index):
@@ -394,6 +434,14 @@ G_VALUES = [0.0, -0.0, 1e-15, -1e-15, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
 RATE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
 
 
+def rv_mask(r_set, n):
+    """Rv as ``_Working`` holds it: a boolean mask over the n rows; the
+    oracle above reads the same set as the list ``r_set``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[r_set] = True
+    return mask
+
+
 @st.composite
 def walk_states(draw):
     """(w, g, beta, gamma, grow, c_new) as ``_walk`` hands them over: the
@@ -413,6 +461,7 @@ def walk_states(draw):
     w = SimpleNamespace(s_set=members["S"], e_set=members["E"],
                         r_set=members["R"], cand=cand,
                         alpha=floats([0.0, 0.25, 0.5, 1.0], n), c=1.0)
+    w.r_mask = rv_mask(w.r_set, n)
     g, gamma = floats(G_VALUES, n), floats(RATE_VALUES, n)
     beta = floats(RATE_VALUES, len(w.s_set) + 1)
     c_new = draw(st.sampled_from([0.25, 0.5, 0.75]))
@@ -424,6 +473,7 @@ def tied_state(s_set, c_new):
     leave E and C reaches c_new (when it is 0.5), all at step 0.5."""
     w = SimpleNamespace(s_set=s_set, e_set=[4, 1], r_set=[0, 3], cand=3,
                         alpha=np.array([0.0, 1.0, 0.5, 0.0, 1.0]), c=1.0)
+    w.r_mask = rv_mask(w.r_set, 5)
     return (w, np.array([1.0, -0.5, 0.0, 1.0, -0.5]),
             np.zeros(len(s_set) + 1), np.array([0.0, 1.0, 0.0, 0.0, 1.0]),
             False, c_new)
