@@ -63,8 +63,9 @@ class AdvisorConfig:
             raise ValidationError("threshold must be <= 0")
         if not 0.0 < self.confidence <= 1.0:
             raise ValidationError("confidence must be in (0, 1]")
-        if self.k_neighbors < 1:
-            raise ValidationError("k_neighbors must be >= 1")
+        if not (isinstance(self.k_neighbors, int) and self.k_neighbors >= 1):
+            raise ValidationError(f"k_neighbors must be an int >= 1, not "
+                                  f"{self.k_neighbors!r}")
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,8 @@ def load_bundle(path, window_slices):
     """(window, decomp, model, snapshot, config) from a bundle file.
 
     An unreadable file is an IoError; anything that is not a well-formed
-    bundle, a window below 1 included, is a ValidationError. Keys it does
-    not read, as older bundles' ``rank`` and ``snapshot.b``, are ignored.
+    bundle (a window must be an int >= 1) is a ValidationError. Keys it
+    does not read, as older bundles' ``rank`` and ``snapshot.b``, are ignored.
     """
     payload = read_json(path, "bundle")
     with parsing(f"bundle {path}"):
@@ -291,7 +291,8 @@ def load_bundle(path, window_slices):
             update_policy=UpdatePolicy(cp["update_policy"]),
             threshold=from_hex(cp["threshold"]),
         )
-        window = int(payload["window"])
-    if window < 1:
-        raise ValidationError(f"bundle {path}: window {window} is below 1")
+        window = payload["window"]
+    if not (isinstance(window, int) and window >= 1):
+        raise ValidationError(f"bundle {path}: window {window!r} is not an "
+                              f"int >= 1")
     return window, decomp, model, snapshot, config

@@ -162,15 +162,10 @@ def train_batch(x, nu, kernel: KernelSpec) -> OcsvmModel:
 
 
 def kkt_partition(m: OcsvmModel, tol: float = KKT_TOL):
-    """Partition training indices into (S, E, Rv); raise on any violation."""
-    return partition(m.training_decision_values(), m.alpha, m.c_bound, tol)
-
-
-def partition(g, alpha, c_bound, tol: float = KKT_TOL):
-    """(S, E, Rv) index lists from decision values ``g`` and coefficients;
-    raises KktViolationError naming the worst violator."""
-    return tuple(np.flatnonzero(mask).tolist()
-                 for mask in kkt_masks(g, alpha, c_bound, tol))
+    """(S, E, Rv) training index lists; raises KktViolationError naming the
+    worst violator."""
+    masks = kkt_masks(m.training_decision_values(), m.alpha, m.c_bound, tol)
+    return tuple(np.flatnonzero(mask).tolist() for mask in masks)
 
 
 def kkt_masks(g, alpha, c_bound, tol: float = KKT_TOL):

@@ -444,6 +444,10 @@ BAD_BUNDLE_FIELDS = {
         p["snapshot"], "knn", lambda v: v[:-1]),
     "j_bundle_k_neighbors": lambda p: p["config"].update(
         k_neighbors=len(p["factors"]["b"])),
+    "float_bundle_k_neighbors": lambda p: p["config"].update(
+        k_neighbors=2.5),
+    "float_bundle_window": lambda p: p.update(window=2.5),
+    "string_bundle_window": lambda p: p.update(window="30"),
     "nan_bundle_l1_beta": lambda p: p["state"].update(
         l1_beta=float.hex(float("nan"))),
 }

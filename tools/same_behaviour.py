@@ -1,61 +1,69 @@
-"""Check that two checkouts of driftwatch behave the same on the benchmark.
+"""Check that two checkouts of driftwatch behave the same.
 
 Usage, from anywhere:
 
     python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
 
-For every workload of ``streambench/workloads.py`` and seeds 1-3, each
-checkout runs ``streambench/pipeline.setup`` and one ``stream_pass`` in a
-subprocess of its own, importing its own ``src/`` and ``streambench/``.
-The two runs are compared on:
+Each checkout runs in subprocesses, with one BLAS thread, that import
+its own ``src/`` and ``streambench/``. There are three legs.
 
-- the action of every event;
-- the ``(case_id, index)`` sequence of insert migrations; when it
-  differs, both checkouts' totals and per-case counts are printed;
-- the number of batch-retrain fallbacks (``retrain_fallbacks``), which is
-  printed for both checkouts;
-- the sha256 of the set-up bundle; when it differs, the JSON paths
-  (``state.vel_a``, ...) that were added, removed or changed are printed,
-  each changed path with its largest absolute numeric difference (hex
-  floats decoded);
-- ``final_model_check`` holding on both final models;
-- the final models themselves: the same training size ``n``, and the
-  largest |delta alpha| and |delta rho| at most ``G_RAW_TOL``;
-- the largest |delta g_raw| over all events, which may be at most
-  ``G_RAW_TOL``.
+1. CLI. Each checkout runs the commands of acceptance test A6, plus one
+   ``stream`` each under ``--policy threshold`` and ``--policy none``, in
+   an empty directory of its own. One line is printed per output file,
+   the standard output of ``eval`` included. Files match when the text
+   between their numbers (hex floats included) is equal and no number
+   differs by more than ``G_RAW_TOL``; a file that does not prints its
+   largest numeric difference and, for JSON, the paths that differ.
 
-One line is printed per workload and seed.
+2. Workloads. For every workload of ``streambench/workloads.py`` and seeds
+   1-3, each checkout runs ``pipeline.setup`` and one ``stream_pass``. One
+   line is printed per run. The two must agree on the action of every
+   event, the ``(case_id, index)`` sequence of insert migrations (per-case
+   counts are printed when it differs), the number of batch-retrain
+   fallbacks, and the sha256 of the set-up bundle (the JSON paths that
+   differ are printed when it does). ``final_model_check`` must hold on
+   both final models, which must have the same training size, with
+   |delta alpha|, |delta rho| and every event's |delta g_raw| at most
+   ``G_RAW_TOL``. The parent's runs record every ``add_sample`` call.
 
-Before that, each checkout runs the ``synth``/``bench``/``train``/
-``stream``/``eval`` commands of acceptance test A6, plus one ``stream``
-each under ``--policy threshold`` and ``--policy none`` on the same
-bundle, in an empty temporary directory of its own. Every file they write,
-and the standard output of ``eval``, is compared byte for byte; one line
-is printed per file, and a file that differs prints its largest absolute
-numeric difference (hex floats included). A JSON file, and the standard
-output of ``eval``, that does not match also prints the JSON paths that
-were added, removed or changed, as for the set-up bundle. The CLI runs
-match when, in every file, the text between the numbers is equal and no
-number differs by more than ``G_RAW_TOL``.
+3. Inserts. A last subprocess, in which neither checkout is importable as
+   ``driftwatch``, copies each ``src/driftwatch`` under a name of its own
+   (``dw_parent``, ``dw_change``; the package imports itself only
+   relatively) and replays every recorded insert through both
+   ``incremental.add_sample``. The results must be identical: the new
+   training rows and dual coefficients byte for byte, rho bit for bit,
+   the migration events field by field with the types of their numbers,
+   or the same error with the same message. Each insert is timed
+   ``ROUNDS`` times per side, interleaved, the side that goes first
+   alternating, so a slow spell of the host lands on both sides; the
+   median and quartiles of the per-insert ratio change/parent are printed.
 
-The exit status is 1 on any mismatch, 0 otherwise. Nothing under
-``streambench/`` is modified.
+The exit status is 1 on any mismatch, 2 with one ``error:`` line when a
+checkout cannot be run, 0 otherwise. Nothing under ``streambench/``
+changes.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (1, 2, 3)
 G_RAW_TOL = 1e-12
 CHILD_TIMEOUT_S = 1800
+ROUNDS = 7
+SIDES = ("parent", "change")
 # as streambench/run.py: one BLAS thread, set before numpy is imported
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -86,6 +94,10 @@ NUMBER = re.compile(r"(-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+"
                     r"|-?\d+(?:\.\d*)?(?:e[-+]?\d+)?|-?inf|nan)")
 
 
+class CheckoutError(Exception):
+    """A checkout cannot run a leg; the message is one line."""
+
+
 def json_leaves(value, path=""):
     """{dotted path: JSON text} for every non-object leaf."""
     if not isinstance(value, dict):
@@ -112,29 +124,46 @@ def leaf_diff(what, old, new):
 
 
 def child_env(checkout):
-    """The environment of a child process that imports ``checkout``."""
+    """The environment of a subprocess that imports ``checkout``, or, when
+    it is None, no checkout as ``driftwatch``."""
     env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
-    env["PYTHONPATH"] = os.pathsep.join(
+    env["PYTHONPATH"] = "" if checkout is None else os.pathsep.join(
         [str(checkout / "src"), str(checkout / "streambench")])
     return env
+
+
+def run(argv, env, cwd, what):
+    """The standard output of ``argv`` as bytes; raises CheckoutError
+    naming ``what`` when it fails or times out."""
+    try:
+        proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True,
+                              check=False, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise CheckoutError(f"{what} ran over {CHILD_TIMEOUT_S} s") from None
+    if proc.returncode != 0:
+        last = proc.stderr.decode(errors="replace").strip().splitlines()
+        raise CheckoutError(f"{what} failed: "
+                            f"{last[-1] if last else proc.returncode}")
+    return proc.stdout
+
+
+def run_child(what, env, *args):
+    """Runs this file with ``args``; returns the JSON record it prints."""
+    out = run([sys.executable, str(Path(__file__).resolve()), *args], env,
+              None, what)
+    return json.loads(out.splitlines()[-1])
 
 
 def run_cli(checkout):
     """{file name: bytes} of the A6 commands run by ``checkout`` in an
     empty directory; the standard output of ``eval`` is one more file."""
-    checkout = Path(checkout).resolve()
     env = child_env(checkout)
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CLI_COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "driftwatch.cli", *argv], env=env,
-                cwd=tmp, capture_output=True, check=False,
-                timeout=CHILD_TIMEOUT_S)
-            if proc.returncode != 0:
-                raise RuntimeError(f"{checkout} driftwatch {argv[0]} failed:"
-                                   f"\n{proc.stderr.decode()}")
+            stdout = run([sys.executable, "-m", "driftwatch.cli", *argv],
+                         env, tmp, f"{checkout} driftwatch {argv[0]}")
         files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
-    files[EVAL_STDOUT] = proc.stdout  # the last command is eval
+    files[EVAL_STDOUT] = stdout  # the last command is eval
     return files
 
 
@@ -181,22 +210,32 @@ def compare_cli(parent_dir, change_dir):
     return bad
 
 
-def run_child(checkout, workload, seed):
-    """Set up and stream one pass inside ``checkout``; returns the record."""
-    checkout = Path(checkout).resolve()
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child",
-         str(checkout), workload, str(seed)],
-        env=child_env(checkout), cwd=checkout, capture_output=True,
-        text=True, check=False, timeout=CHILD_TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout} {workload} seed {seed} failed:\n"
-                           f"{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+class InsertRecorder:
+    """Stands in for ``add_sample`` and keeps every call's model and
+    inserted vector."""
+
+    def __init__(self, add_sample):
+        self.add_sample, self.arrays, self.meta = add_sample, {}, []
+
+    def __call__(self, model, x_c, *args, **kwargs):
+        k = len(self.meta)
+        self.arrays[f"x{k}"] = model.x.copy()
+        self.arrays[f"alpha{k}"] = model.alpha.copy()
+        self.arrays[f"xc{k}"] = np.array(x_c, dtype=np.float64)
+        self.meta.append({"rho": model.rho.hex(), "nu": model.nu.hex(),
+                          "kind": model.kernel.kind,
+                          "sigma": float(model.kernel.sigma).hex()})
+        return self.add_sample(model, x_c, *args, **kwargs)
+
+    def save(self, path):
+        """Writes the calls to the npz file ``path``."""
+        np.savez(path, meta=json.dumps(self.meta), **self.arrays)
 
 
-def child(checkout, workload, seed):
-    """Runs in the subprocess; prints one JSON record."""
+def child(checkout, workload, seed, corpus=None):
+    """Runs in the subprocess: sets up and streams one pass, saves its
+    inserts to the npz file ``corpus`` if one is given, and prints one
+    JSON record."""
     import driftwatch
     from driftwatch import advisor
     import pipeline
@@ -206,13 +245,14 @@ def child(checkout, workload, seed):
     if Path(driftwatch.__file__).resolve().parent != src:
         raise RuntimeError(f"imported driftwatch from {driftwatch.__file__}")
     spec = workloads.WORKLOADS[workload]
-    data, _ = workloads.generate(spec, seed)
+    data, _ = workloads.generate(spec, int(seed))
     window = [data[:, :, k].copy() for k in range(spec.window)]
     events = [data[:, :, spec.window + k].copy() for k in range(spec.events)]
     del data
 
     g_raw = []
     process_event = advisor.process_event
+    inserts = InsertRecorder(advisor.add_sample)
 
     def recording(state, slice_ij):
         state, verdict = process_event(state, slice_ij)
@@ -224,9 +264,11 @@ def child(checkout, workload, seed):
         _, state = pipeline.setup(window, str(bundle))
         digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
         leaves = json_leaves(json.loads(bundle.read_text()))
-    advisor.process_event = recording  # stream_pass looks it up per call
+    # stream_pass and _incorporate look these up per call
+    advisor.process_event, advisor.add_sample = recording, inserts
     result = pipeline.stream_pass(state, events)
-    advisor.process_event = process_event
+    if corpus:
+        inserts.save(corpus)
     final = result.state.model
     ok, diff, _, _ = pipeline.final_model_check(final)
     print(json.dumps({
@@ -284,35 +326,26 @@ def compare(parent, change):
     return bad, dg, dm
 
 
-def main(argv):
-    if len(argv) == 4 and argv[0] == "--child":
-        child(argv[1], argv[2], int(argv[3]))
-        return 0
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    parent_dir, change_dir = argv
-    for d in argv:
-        if not (Path(d) / "streambench" / "workloads.py").is_file():
-            print(f"error: {d} has no streambench/workloads.py",
-                  file=sys.stderr)
-            return 2
-    sys.path.insert(0, str(Path(change_dir, "streambench").resolve()))
-    sys.path.insert(0, str(Path(change_dir, "src").resolve()))
+def compare_workloads(parent_dir, change_dir, corpus_dir):
+    """Prints one line per workload and seed; returns the number of runs
+    that do not match and the npz files of the parent's inserts."""
+    sys.path[:0] = [str(change_dir / "src"), str(change_dir / "streambench")]
     import workloads
-
-    mismatches = int(compare_cli(parent_dir, change_dir) > 0)
+    mismatches, corpora = 0, []
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
-            parent = run_child(parent_dir, workload, seed)
-            change = run_child(change_dir, workload, seed)
+            corpora.append(corpus_dir / f"{workload}_seed{seed}.npz")
+            parent, change = (
+                run_child(f"{d} {workload} seed {seed}", child_env(d),
+                          "--child", str(d), workload, str(seed), *corpus)
+                for d, corpus in ((parent_dir, [str(corpora[-1])]),
+                                  (change_dir, [])))
             bad, dg, dm = compare(parent, change)
             mismatches += bool(bad)
-            inserts = change["actions"].count("update_model")
             print(f"{workload:16s} seed {seed}: "
                   f"{'MISMATCH ' + ','.join(bad) if bad else 'match':28s} "
                   f"max|dg_raw| {dg:.1e}  max|dmodel| {dm:.1e}  "
-                  f"inserts {inserts}  "
+                  f"inserts {change['actions'].count('update_model')}  "
                   f"migrations {len(change['migrations'])}  "
                   f"fallbacks {parent['retrain_fallbacks']}/"
                   f"{change['retrain_fallbacks']}  "
@@ -326,8 +359,113 @@ def main(argv):
                                           change["bundle_leaves"])
                                 or ["    bundle: same JSON, other bytes"]),
                       flush=True)
+    return mismatches, corpora
+
+
+def outcome(pkg, model, x_c):
+    """What ``pkg``'s insert returns, as comparable values."""
+    try:
+        new, events = pkg.incremental.add_sample(model, x_c)
+    except pkg.errors.DriftwatchError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return (new.x.tobytes(), new.alpha.tobytes(), new.rho.hex(),
+            [tuple(exact(v) for v in vars(ev).values()) for ev in events])
+
+
+def exact(value):
+    """A value with its type; a float by its bits, so -0.0 is not 0.0."""
+    return (type(value).__name__,
+            value.hex() if isinstance(value, float) else value)
+
+
+def replay(parent_dir, change_dir, *corpora):
+    """Runs in the subprocess: replays and times every insert saved in the
+    npz files ``corpora`` through both checkouts; prints one JSON record."""
+    differ, medians = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, checkout in zip(SIDES, (parent_dir, change_dir)):
+            shutil.copytree(Path(checkout) / "src" / "driftwatch",
+                            Path(tmp) / f"dw_{side}")
+        sys.path.insert(0, tmp)
+        # the package imports its errors, incremental and ocsvm modules
+        pkgs = [importlib.import_module(f"dw_{side}") for side in SIDES]
+        for corpus in corpora:
+            with np.load(corpus) as npz:
+                data = dict(npz)
+            for k, rec in enumerate(json.loads(str(data["meta"]))):
+                x_c = data[f"xc{k}"]
+                models = [pkg.ocsvm.OcsvmModel(
+                    data[f"x{k}"], data[f"alpha{k}"],
+                    float.fromhex(rec["rho"]), float.fromhex(rec["nu"]),
+                    pkg.ocsvm.KernelSpec(rec["kind"],
+                                         float.fromhex(rec["sigma"])))
+                    for pkg in pkgs]
+                results = [outcome(p, m, x_c) for p, m in zip(pkgs, models)]
+                if results[0] != results[1]:
+                    differ.append(f"{Path(corpus).stem} insert {k} "
+                                  f"(n = {models[0].n})")
+                times = [[], []]
+                for r in range(ROUNDS):
+                    for side in ((0, 1) if (len(medians) + r) % 2 == 0
+                                 else (1, 0)):
+                        t0 = time.perf_counter_ns()
+                        try:
+                            pkgs[side].incremental.add_sample(models[side],
+                                                              x_c)
+                        except pkgs[side].errors.DriftwatchError:
+                            pass  # compared above
+                        times[side].append(time.perf_counter_ns() - t0)
+                medians.append((np.median(times, axis=1) / 1e6).tolist())
+    print(json.dumps({"differ": differ, "medians_ms": medians}))
+
+
+def compare_inserts(parent_dir, change_dir, corpora):
+    """Replays the inserts saved in ``corpora`` through both checkouts;
+    prints the result and returns the number of inserts that differ."""
+    record = run_child("the insert replay", child_env(None), "--replay",
+                       str(parent_dir), str(change_dir), *map(str, corpora))
+    medians = np.array(record["medians_ms"])
+    mid = np.median(medians, axis=0)
+    q1, q2, q3 = np.percentile(medians[:, 1] / medians[:, 0], [25, 50, 75])
+    for name in record["differ"]:
+        print(f"{name}: DIFFERS")
+    differ = len(record["differ"])
+    print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
+          f"differ {differ}")
+    print(f"per-insert median ms: parent {mid[0]:.3f}, change {mid[1]:.3f} "
+          f"({ROUNDS} interleaved rounds per insert)")
+    print(f"per-insert ratio change/parent: median {q2:.3f} "
+          f"(quartiles {q1:.3f} / {q3:.3f})", flush=True)
+    return differ
+
+
+def main(argv):
+    if argv[:1] in (["--child"], ["--replay"]):  # a subprocess of the tool
+        (child if argv[0] == "--child" else replay)(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_dir, change_dir = (Path(d).resolve() for d in argv)
+    for path in (d / sub for d in (parent_dir, change_dir)
+                 for sub in ("streambench/workloads.py",
+                             "src/driftwatch/incremental.py")):
+        if not path.is_file():
+            print(f"error: {path} not found", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            cli = compare_cli(parent_dir, change_dir) > 0
+            runs, corpora = compare_workloads(parent_dir, change_dir,
+                                              Path(tmp))
+            mismatches = cli + runs + (
+                compare_inserts(parent_dir, change_dir, corpora) > 0)
+        except CheckoutError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print("behaviour matches" if not mismatches
-          else f"{mismatches} runs differ (the CLI leg counts as one)")
+          else f"runs that differ: {mismatches} (the CLI and insert legs "
+               f"count as one each)")
     return 1 if mismatches else 0
 
 
