@@ -24,6 +24,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewLocationsError,
     ValidationError,
+    check_int,
 )
 from .incremental import add_sample
 from .ocsvm import OcsvmModel, decision_value, sq_distances, train_batch
@@ -63,9 +64,7 @@ class AdvisorConfig:
             raise ValidationError("threshold must be <= 0")
         if not 0.0 < self.confidence <= 1.0:
             raise ValidationError("confidence must be in (0, 1]")
-        if not (isinstance(self.k_neighbors, int) and self.k_neighbors >= 1):
-            raise ValidationError(f"k_neighbors must be an int >= 1, not "
-                                  f"{self.k_neighbors!r}")
+        check_int(self.k_neighbors, "k_neighbors", 1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,8 @@ def environmental_probability(prev: LocationSnapshot, curr: LocationSnapshot,
     if prev.knn_scores.shape != curr.knn_scores.shape:
         raise ShapeMismatchError("snapshots disagree on J")
     change = np.abs(curr.knn_scores - prev.knn_scores)
-    return float((change > cfg.gamma_change).mean())
+    # int / int is a Python float, equal bit for bit to the bool mask's mean
+    return int(np.count_nonzero(change > cfg.gamma_change)) / change.size
 
 
 def decide(g_raw: float, p_env: float, cfg: AdvisorConfig):

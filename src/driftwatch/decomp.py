@@ -12,7 +12,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergedError, ShapeMismatchError, ValidationError
+from .errors import (
+    DivergedError,
+    ShapeMismatchError,
+    ValidationError,
+    check_int,
+)
 from .tensor import DenseTensor3, KruskalFactors, khatri_rao
 
 OVERFLOW_LIMIT = 1e12
@@ -77,9 +82,7 @@ class NesgdState:
                 and 0.0 <= self.l1_beta < np.inf):  # NaN too
             raise ValidationError("perturb_sigma and l1_beta must be finite "
                                   "and >= 0")
-        if not (isinstance(self.step, int) and self.step >= 0):
-            raise ValidationError(f"step must be an int >= 0, not "
-                                  f"{self.step!r}")
+        check_int(self.step, "step", 0)
         if self.rng is None:
             self.rng = np.random.default_rng(self.rng_seed)
 
@@ -195,9 +198,7 @@ class StreamOptions:
     l1_beta: float = 1e-4
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, int) and self.epochs >= 1):
-            raise ValidationError(f"epochs must be an int >= 1, not "
-                                  f"{self.epochs!r}")
+        check_int(self.epochs, "epochs", 1)
         if not 0.0 <= self.tol < np.inf:  # NaN too
             raise ValidationError(f"tol {self.tol} must be finite and >= 0")
 

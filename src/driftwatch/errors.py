@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one integer check.
 
 Every error carries a short machine-readable ``code`` so the CLI can map
 failures to exit codes without string matching on messages.
@@ -54,3 +54,12 @@ class KktViolationError(NumericalError):
 
 class ImmobileError(NumericalError):
     code = "immobile"
+
+
+def check_int(value, what, low):
+    """Raise ValidationError unless ``value`` is an int >= ``low``. A bool,
+    which Python counts as an int (JSON's true reads as 1), is not one."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       and value >= low):
+        raise ValidationError(f"{what} must be an int >= {low}, not "
+                              f"{value!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .advisor import AdvisorConfig, LocationSnapshot, UpdatePolicy
 from .decomp import LrSchedule, NesgdState, OptimizerKind, StreamDecomposition
-from .errors import IoError, ValidationError
+from .errors import IoError, ValidationError, check_int
 from .ocsvm import KernelSpec, OcsvmModel
 from .tensor import DenseTensor3, KruskalFactors
 
@@ -292,7 +292,5 @@ def load_bundle(path, window_slices):
             threshold=from_hex(cp["threshold"]),
         )
         window = payload["window"]
-    if not (isinstance(window, int) and window >= 1):
-        raise ValidationError(f"bundle {path}: window {window!r} is not an "
-                              f"int >= 1")
+    check_int(window, f"bundle {path}: window", 1)
     return window, decomp, model, snapshot, config

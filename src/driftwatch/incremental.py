@@ -100,7 +100,7 @@ class _Working:
         # only ``filled`` columns hold values; nonzero alphas, S, candidate
         self.kmat = np.empty((self.cand + 1, self.cand + 1), order="F")
         self.filled = np.zeros(self.cand + 1, dtype=bool)
-        self.fill(np.flatnonzero(m.alpha).tolist() + [self.cand])
+        self.fill(m.sv.tolist() + [self.cand])
         self.g0 = self.g()  # the decision values the walk starts from
         margin, at_bound, at_zero = kkt_masks(
             self.g0[: self.cand], m.alpha, m.c_bound)

@@ -34,11 +34,13 @@ class KernelSpec:
             raise ValidationError("rbf sigma must be > 0")
 
 
-def sq_distances(x, y) -> np.ndarray:
+def sq_distances(x, y, y_sq=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of x and y, as
-    ||x||^2 + ||y||^2 - 2 x.y clipped at 0 against rounding."""
+    ||x||^2 + ||y||^2 - 2 x.y clipped at 0 against rounding; ``y_sq``, when
+    given, holds the ||y||^2 of y's rows."""
     x_sq = (x**2).sum(axis=1)
-    y_sq = x_sq if y is x else (y**2).sum(axis=1)
+    if y_sq is None:
+        y_sq = x_sq if y is x else (y**2).sum(axis=1)
     xy2 = x @ y.T
     xy2 *= 2.0
     d2 = x_sq[:, None] + y_sq[None, :]
@@ -46,15 +48,16 @@ def sq_distances(x, y) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kernel_matrix(k: KernelSpec, x, y=None) -> np.ndarray:
-    """Gram matrix between the rows of x and y (y defaults to x)."""
+def kernel_matrix(k: KernelSpec, x, y=None, y_sq=None) -> np.ndarray:
+    """Gram matrix between the rows of x and y (y defaults to x); ``y_sq``,
+    when given, holds the squared norms of y's rows."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = x if y is None else np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise ShapeMismatchError(f"dim mismatch {x.shape[1]} != {y.shape[1]}")
     if k.kind == "linear":
         return x @ y.T
-    return np.exp(-sq_distances(x, y) / (2.0 * k.sigma**2))
+    return np.exp(-sq_distances(x, y, y_sq) / (2.0 * k.sigma**2))
 
 
 def median_pairwise_sigma(x) -> float:
@@ -66,11 +69,16 @@ def median_pairwise_sigma(x) -> float:
 
 
 class OcsvmModel:
-    """Trained one-class SVM over a fixed set of training vectors."""
+    """Trained one-class SVM over a fixed set of training vectors.
+
+    A model is a value: it owns read-only copies of its training rows and
+    dual coefficients, and builds from them once the support-vector arrays
+    that scoring reads. A change of alpha makes a new model.
+    """
 
     def __init__(self, train_x, alpha, rho, nu, kernel: KernelSpec):
-        self.x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
-        self.alpha = np.asarray(alpha, dtype=np.float64).copy()
+        self.x = np.array(train_x, dtype=np.float64, ndmin=2)
+        self.alpha = np.array(alpha, dtype=np.float64)
         self.rho = float(rho)
         self.nu = float(nu)
         self.kernel = kernel
@@ -78,6 +86,21 @@ class OcsvmModel:
             raise ValidationError(f"nu {self.nu} must be in (0, 1)")
         if self.alpha.shape != (self.x.shape[0],):
             raise ShapeMismatchError("alpha length must match training size")
+        self.x.setflags(write=False)
+        self.alpha.setflags(write=False)
+        # the support-vector indices; rows with alpha = 0 add nothing to g,
+        # so scoring reads only these rows, their norms and coefficients
+        self.sv = self.alpha.nonzero()[0]
+        self.sv.setflags(write=False)
+        self._sv_x = self.x.take(self.sv, axis=0)
+        self._sv_sq = (self._sv_x**2).sum(axis=1)
+        self._sv_alpha = self.alpha.take(self.sv)
+
+    def __reduce__(self):
+        # copies and pickles are built by __init__, so they own read-only
+        # arrays and scoring arrays that match them
+        return OcsvmModel, (self.x, self.alpha, self.rho, self.nu,
+                            self.kernel)
 
     @property
     def n(self):
@@ -88,11 +111,9 @@ class OcsvmModel:
         return 1.0 / (self.nu * self.n)
 
     def decision_values(self, points) -> np.ndarray:
-        # rows with alpha = 0 add nothing to g, so only the support vectors
-        # are evaluated; they are found per call, since alpha is public
-        sv = np.flatnonzero(self.alpha)
-        kmat = kernel_matrix(self.kernel, np.atleast_2d(points), self.x[sv])
-        return kmat @ self.alpha[sv] - self.rho
+        kmat = kernel_matrix(self.kernel, np.atleast_2d(points), self._sv_x,
+                             y_sq=self._sv_sq)
+        return kmat @ self._sv_alpha - self.rho
 
     def training_decision_values(self) -> np.ndarray:
         return self.decision_values(self.x)

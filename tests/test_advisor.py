@@ -131,6 +131,19 @@ class TestEnvironmentalProbability:
         cfg = AdvisorConfig(gamma_change=1e-6)
         assert environmental_probability(prev, curr, cfg) == 1.0
 
+    @pytest.mark.parametrize("j_n", [3, 7, 12, 48, 120])
+    def test_is_the_mean_of_the_moved_mask_as_a_float(self, j_n):
+        rng = np.random.default_rng(j_n)
+        b0 = rng.standard_normal((j_n, 2))
+        prev, curr = self.snap_pair(b0, b0 + 0.05 * rng.standard_normal(
+            (j_n, 2)), k=2)
+        change = np.abs(curr.knn_scores - prev.knn_scores)
+        for gamma in np.quantile(change, [0.1, 0.37, 0.5, 0.83]):
+            p = environmental_probability(
+                prev, curr, AdvisorConfig(k_neighbors=2, gamma_change=gamma))
+            assert type(p) is float
+            assert p.hex() == float(np.mean(change > gamma)).hex()
+
     def test_shape_mismatch(self):
         prev = LocationSnapshot.capture(np.zeros((5, 2)), 2)
         curr = LocationSnapshot.capture(np.zeros((6, 2)), 2)

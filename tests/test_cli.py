@@ -448,6 +448,11 @@ BAD_BUNDLE_FIELDS = {
         k_neighbors=2.5),
     "float_bundle_window": lambda p: p.update(window=2.5),
     "string_bundle_window": lambda p: p.update(window="30"),
+    # JSON's true is a bool, which Python counts as the int 1
+    "bool_bundle_window": lambda p: p.update(window=True),
+    "bool_bundle_k_neighbors": lambda p: p["config"].update(
+        k_neighbors=True),
+    "bool_bundle_step": lambda p: p["state"].update(step=True),
     "nan_bundle_l1_beta": lambda p: p["state"].update(
         l1_beta=float.hex(float("nan"))),
 }

@@ -9,20 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftwatch import (
+    AdvisorConfig,
+    DenseTensor3,
     KernelSpec,
     KktViolationError,
+    LocationSnapshot,
     NuTooSmallError,
     OcsvmModel,
+    OptimizerKind,
     ShapeMismatchError,
+    StreamOptions,
     ValidationError,
     add_sample,
     decision_value,
+    decompose_stream_init,
     kernel_matrix,
     kkt_partition,
     median_pairwise_sigma,
     train_batch,
 )
-from driftwatch.files import _decode_model, _encode_model
+from driftwatch.files import (
+    _decode_model,
+    _encode_model,
+    load_bundle,
+    save_bundle,
+)
 from driftwatch.ocsvm import sq_distances
 
 
@@ -280,6 +291,55 @@ class TestScoringOracle:
                                    rtol=0.0, atol=1e-12)
 
 
+def bundled(m, tmp_path):
+    """``m`` after a ``save_bundle`` / ``load_bundle`` round trip."""
+    t = DenseTensor3(np.random.default_rng(17).uniform(size=(4, 3, 6)))
+    d = decompose_stream_init(t, 2, OptimizerKind.NESGD,
+                              StreamOptions(epochs=2))
+    path = tmp_path / "bundle.json"
+    save_bundle(path, 6, d, m, LocationSnapshot.capture(d.factors.b, 1),
+                AdvisorConfig(k_neighbors=1), (0.1, 0.0))
+    return load_bundle(path, d.slices)[2]
+
+
+class TestOwnedArrays:
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_training_rows_and_alpha_are_read_only(self, copied):
+        m = scoring_model("rbf")
+        if copied:
+            m = copy.deepcopy(m)
+        with pytest.raises(ValueError, match="read-only"):
+            m.x[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.alpha[0] = 0.0
+
+    def test_caller_arrays_do_not_reach_the_model(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((20, 3))
+        alpha = rng.uniform(0.5, 1.5, size=20)
+        alpha /= alpha.sum()
+        m = OcsvmModel(x, alpha, 0.3, 0.2, KernelSpec("rbf", 1.0))
+        points = rng.standard_normal((6, 3))
+        before = m.decision_values(points)
+        x += 1.0
+        alpha[:10] = 0.0
+        assert m.decision_values(points).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear", "add_sample",
+                                      "load_bundle"])
+    def test_equals_the_per_call_support_formula(self, kind, tmp_path):
+        # the support vectors gathered on every call, as scoring did before
+        # the model owned them
+        m = (bundled(scoring_model("rbf"), tmp_path) if kind == "load_bundle"
+             else scoring_model(kind))
+        rng = np.random.default_rng(19)
+        points = np.vstack([m.x, rng.standard_normal((25, 3))])
+        sv = np.flatnonzero(m.alpha)
+        expected = kernel_matrix(m.kernel, points, m.x[sv]) @ m.alpha[sv] \
+            - m.rho
+        assert m.decision_values(points).tobytes() == expected.tobytes()
+
+
 class TestKktPartition:
     def test_fresh_model_partitions(self):
         rng = np.random.default_rng(21)
@@ -291,8 +351,9 @@ class TestKktPartition:
         rng = np.random.default_rng(22)
         m = train_batch(rng.standard_normal((15, 2)), 0.3, KernelSpec("rbf", 1.0))
         s, _, _ = kkt_partition(m)
-        bad = copy.deepcopy(m)
-        bad.alpha[s[0]] = 0.0  # breaks the equality constraint balance
+        alpha = m.alpha.copy()
+        alpha[s[0]] = 0.0  # breaks the equality constraint balance
+        bad = OcsvmModel(m.x, alpha, m.rho, m.nu, m.kernel)
         with pytest.raises(KktViolationError):
             kkt_partition(bad)
 

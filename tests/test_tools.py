@@ -1,6 +1,6 @@
 """tools/same_behaviour.py: its number and value comparisons, its error
-line, and its insert leg, replaying recorded inserts through two copies of
-the package."""
+line, and its insert and event legs, replaying recorded inserts and saved
+streams through two copies of the package."""
 
 import importlib.util
 import math
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch import incremental
+from driftwatch import cli, incremental, load_tensor_csv
 from driftwatch.ocsvm import KernelSpec, train_batch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +23,23 @@ _spec.loader.exec_module(same_behaviour)
 GAMMA = "gamma = k_drive + k_s @ beta[1:] + beta[0]"
 # the same sum re-associated: equal in exact arithmetic, not in floats
 GAMMA_REASSOCIATED = "gamma = k_drive + (k_s @ beta[1:] + beta[0])"
+ACCEPT = """    if g_raw >= 0.0:
+        return g_raw, Action.ACCEPT
+"""
+# every negative score is reported, so the model never updates
+REPORT_EVERY_NEGATIVE = ACCEPT + "    return g_raw, Action.REPORT_ANOMALY\n"
+
+
+def change_copy(root, module, old, new):
+    """A checkout under ``root`` whose package has ``old`` replaced by
+    ``new`` in ``module``."""
+    change = root / "src" / "driftwatch"
+    shutil.copytree(ROOT / "src" / "driftwatch", change,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (change / module).read_text()
+    assert old in source
+    (change / module).write_text(source.replace(old, new))
+    return root
 
 
 class TestNumericDiff:
@@ -74,21 +91,46 @@ def corpus(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    """The bundle of A6's train command, with its input tensor and window
+    length saved next to it the way the tool's seed-1 runs save theirs."""
+    tmp = tmp_path_factory.mktemp("events")
+    for argv in same_behaviour.CLI_COMMANDS[0], same_behaviour.CLI_COMMANDS[2]:
+        assert cli.main([str(tmp / arg) if arg in ("t.csv", "b.json")
+                         else arg for arg in argv]) == 0
+    np.savez(tmp / "small.npz", data=load_tensor_csv(str(tmp / "t.csv")).data,
+             window=30)
+    return (tmp / "b.json").rename(tmp / "small.json")
+
+
 def test_replay_through_two_copies_is_identical(corpus, capsys):
-    assert same_behaviour.compare_inserts(ROOT, ROOT, [corpus]) == 0
+    assert same_behaviour.compare_replay(ROOT, ROOT, [corpus]) == 0
     assert "inserts 30, identical 30, differ 0" in capsys.readouterr().out
 
 
 def test_replay_names_the_inserts_a_one_ulp_change_moves(corpus, capsys,
                                                          tmp_path):
-    change = tmp_path / "src" / "driftwatch"
-    shutil.copytree(ROOT / "src" / "driftwatch", change,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = (change / "incremental.py").read_text()
-    assert GAMMA in source
-    (change / "incremental.py").write_text(
-        source.replace(GAMMA, GAMMA_REASSOCIATED))
-    differ = same_behaviour.compare_inserts(ROOT, tmp_path, [corpus])
+    change = change_copy(tmp_path, "incremental.py", GAMMA,
+                         GAMMA_REASSOCIATED)
+    differ = same_behaviour.compare_replay(ROOT, change, [corpus])
     out = capsys.readouterr().out
     assert differ > 0
     assert out.count("small insert") == out.count("DIFFERS") == differ
+
+
+def test_event_replay_through_two_copies_is_identical(small_bundle, capsys):
+    assert same_behaviour.compare_replay(ROOT, ROOT, [small_bundle]) == 0
+    verdicts = 30 * same_behaviour.ROUNDS
+    assert (f"events small            verdicts {verdicts}, bit-identical "
+            f"{verdicts}, actions differ 0;") in capsys.readouterr().out
+
+
+def test_event_replay_flags_a_change_that_reports_every_negative_score(
+        small_bundle, capsys, tmp_path):
+    change = change_copy(tmp_path, "advisor.py", ACCEPT,
+                         REPORT_EVERY_NEGATIVE)
+    differ = same_behaviour.compare_replay(ROOT, change, [small_bundle])
+    out = capsys.readouterr().out
+    assert differ > 0
+    assert f"actions differ {differ};" in out

@@ -5,7 +5,7 @@ Usage, from anywhere:
     python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
 
 Each checkout runs in subprocesses, with one BLAS thread, that import
-its own ``src/`` and ``streambench/``. There are three legs.
+its own ``src/`` and ``streambench/``. There are four legs.
 
 1. CLI. Each checkout runs the commands of acceptance test A6, plus one
    ``stream`` each under ``--policy threshold`` and ``--policy none``, in
@@ -24,7 +24,8 @@ its own ``src/`` and ``streambench/``. There are three legs.
    differ are printed when it does). ``final_model_check`` must hold on
    both final models, which must have the same training size, with
    |delta alpha|, |delta rho| and every event's |delta g_raw| at most
-   ``G_RAW_TOL``. The parent's runs record every ``add_sample`` call.
+   ``G_RAW_TOL``. The parent's runs record every ``add_sample`` call, and
+   its seed-1 runs save the set-up bundle and the input tensor.
 
 3. Inserts. A last subprocess, in which neither checkout is importable as
    ``driftwatch``, copies each ``src/driftwatch`` under a name of its own
@@ -37,6 +38,16 @@ its own ``src/`` and ``streambench/``. There are three legs.
    ``ROUNDS`` times per side, interleaved, the side that goes first
    alternating, so a slow spell of the host lands on both sides; the
    median and quartiles of the per-insert ratio change/parent are printed.
+
+4. Events. The same subprocess loads each saved bundle through both
+   checkouts' ``files.load_bundle`` and steps the two ``PipelineState``s
+   through the workload's events together, ``ROUNDS`` passes from the
+   bundle, timing each ``process_event``, the side that goes first
+   alternating on every event. Verdicts are compared field by field with
+   ``exact``; an action that differs (or an error on one side only) is a
+   mismatch. One line per workload gives the number of verdicts, how many
+   are bit-identical, and the median and quartiles over the passes of
+   the pass-time ratio change/parent.
 
 The exit status is 1 on any mismatch, 2 with one ``error:`` line when a
 checkout cannot be run, 0 otherwise. Nothing under ``streambench/``
@@ -232,10 +243,11 @@ class InsertRecorder:
         np.savez(path, meta=json.dumps(self.meta), **self.arrays)
 
 
-def child(checkout, workload, seed, corpus=None):
+def child(checkout, workload, seed, corpus=None, bundle_copy=None):
     """Runs in the subprocess: sets up and streams one pass, saves its
-    inserts to the npz file ``corpus`` if one is given, and prints one
-    JSON record."""
+    inserts to the npz file ``corpus`` and its set-up bundle to
+    ``bundle_copy`` (the input tensor and window length next to it, as
+    npz) if they are given, and prints one JSON record."""
     import driftwatch
     from driftwatch import advisor
     import pipeline
@@ -248,6 +260,9 @@ def child(checkout, workload, seed, corpus=None):
     data, _ = workloads.generate(spec, int(seed))
     window = [data[:, :, k].copy() for k in range(spec.window)]
     events = [data[:, :, spec.window + k].copy() for k in range(spec.events)]
+    if bundle_copy:
+        np.savez(Path(bundle_copy).with_suffix(".npz"), data=data,
+                 window=spec.window)
     del data
 
     g_raw = []
@@ -264,6 +279,8 @@ def child(checkout, workload, seed, corpus=None):
         _, state = pipeline.setup(window, str(bundle))
         digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
         leaves = json_leaves(json.loads(bundle.read_text()))
+        if bundle_copy:
+            shutil.copyfile(bundle, bundle_copy)
     # stream_pass and _incorporate look these up per call
     advisor.process_event, advisor.add_sample = recording, inserts
     result = pipeline.stream_pass(state, events)
@@ -328,18 +345,21 @@ def compare(parent, change):
 
 def compare_workloads(parent_dir, change_dir, corpus_dir):
     """Prints one line per workload and seed; returns the number of runs
-    that do not match and the npz files of the parent's inserts."""
+    that do not match and the files the replay reads: the npz files of the
+    parent's inserts and its seed-1 bundles."""
     sys.path[:0] = [str(change_dir / "src"), str(change_dir / "streambench")]
     import workloads
-    mismatches, corpora = 0, []
+    mismatches, corpora, bundles = 0, [], []
     for workload in workloads.WORKLOADS:
+        bundles.append(corpus_dir / f"{workload}.json")
         for seed in SEEDS:
             corpora.append(corpus_dir / f"{workload}_seed{seed}.npz")
+            saved = [corpora[-1]] + ([bundles[-1]] if seed == 1 else [])
             parent, change = (
                 run_child(f"{d} {workload} seed {seed}", child_env(d),
-                          "--child", str(d), workload, str(seed), *corpus)
-                for d, corpus in ((parent_dir, [str(corpora[-1])]),
-                                  (change_dir, [])))
+                          "--child", str(d), workload, str(seed), *args)
+                for d, args in ((parent_dir, map(str, saved)),
+                                (change_dir, [])))
             bad, dg, dm = compare(parent, change)
             mismatches += bool(bad)
             print(f"{workload:16s} seed {seed}: "
@@ -359,7 +379,7 @@ def compare_workloads(parent_dir, change_dir, corpus_dir):
                                           change["bundle_leaves"])
                                 or ["    bundle: same JSON, other bytes"]),
                       flush=True)
-    return mismatches, corpora
+    return mismatches, corpora + bundles
 
 
 def outcome(pkg, model, x_c):
@@ -378,9 +398,41 @@ def exact(value):
             value.hex() if isinstance(value, float) else value)
 
 
+def step_both(pkgs, bundle):
+    """Steps both packages' pipelines, loaded from ``bundle``, through the
+    events saved next to it, ``ROUNDS`` times; returns a JSON record."""
+    with np.load(Path(bundle).with_suffix(".npz")) as npz:
+        data, w = npz["data"], int(npz["window"])
+    slices = [data[:, :, k].copy() for k in range(data.shape[2])]
+    same = differ = 0
+    passes = []
+    for r in range(ROUNDS):
+        states = [pkg.advisor.PipelineState(
+            *pkg.files.load_bundle(bundle, slices[:w])[1:]) for pkg in pkgs]
+        ns = [0, 0]
+        for i, slice_ij in enumerate(slices[w:]):
+            verdicts = [None, None]
+            for side in (0, 1) if (r + i) % 2 == 0 else (1, 0):
+                t0 = time.perf_counter_ns()
+                try:
+                    states[side], v = pkgs[side].advisor.process_event(
+                        states[side], slice_ij)
+                    verdicts[side] = (v.time_index, v.g_raw, v.p_env,
+                                      v.g_advised, v.action.value)
+                except pkgs[side].errors.DriftwatchError as exc:
+                    verdicts[side] = ("raised", type(exc).__name__, str(exc))
+                ns[side] += time.perf_counter_ns() - t0
+            same += [*map(exact, verdicts[0])] == [*map(exact, verdicts[1])]
+            differ += verdicts[0][-1] != verdicts[1][-1]
+        passes.append(ns)
+    return {"verdicts": ROUNDS * (len(slices) - w), "identical": same,
+            "differ": differ, "pass_ns": passes}
+
+
 def replay(parent_dir, change_dir, *corpora):
     """Runs in the subprocess: replays and times every insert saved in the
-    npz files ``corpora`` through both checkouts; prints one JSON record."""
+    npz files of ``corpora`` and steps the pipelines of its json bundles
+    through both checkouts; prints one JSON record."""
     differ, medians = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in zip(SIDES, (parent_dir, change_dir)):
@@ -389,7 +441,9 @@ def replay(parent_dir, change_dir, *corpora):
         sys.path.insert(0, tmp)
         # the package imports its errors, incremental and ocsvm modules
         pkgs = [importlib.import_module(f"dw_{side}") for side in SIDES]
-        for corpus in corpora:
+        events = {Path(b).stem: step_both(pkgs, b)
+                  for b in corpora if b.endswith(".json")}
+        for corpus in (c for c in corpora if c.endswith(".npz")):
             with np.load(corpus) as npz:
                 data = dict(npz)
             for k, rec in enumerate(json.loads(str(data["meta"]))):
@@ -416,26 +470,42 @@ def replay(parent_dir, change_dir, *corpora):
                             pass  # compared above
                         times[side].append(time.perf_counter_ns() - t0)
                 medians.append((np.median(times, axis=1) / 1e6).tolist())
-    print(json.dumps({"differ": differ, "medians_ms": medians}))
+    print(json.dumps({"differ": differ, "medians_ms": medians,
+                      "events": events}))
 
 
-def compare_inserts(parent_dir, change_dir, corpora):
-    """Replays the inserts saved in ``corpora`` through both checkouts;
-    prints the result and returns the number of inserts that differ."""
-    record = run_child("the insert replay", child_env(None), "--replay",
+def ratio_text(times):
+    """Median and quartiles of change/parent over rows of (parent, change)
+    times, as text."""
+    times = np.asarray(times, dtype=np.float64)
+    q1, q2, q3 = np.percentile(times[:, 1] / times[:, 0], [25, 50, 75])
+    return f"median {q2:.3f} (quartiles {q1:.3f} / {q3:.3f})"
+
+
+def compare_replay(parent_dir, change_dir, corpora):
+    """Replays the inserts and steps the events saved in ``corpora``
+    through both checkouts; prints the result and returns the number of
+    inserts and verdict actions that differ."""
+    record = run_child("the replay", child_env(None), "--replay",
                        str(parent_dir), str(change_dir), *map(str, corpora))
-    medians = np.array(record["medians_ms"])
-    mid = np.median(medians, axis=0)
-    q1, q2, q3 = np.percentile(medians[:, 1] / medians[:, 0], [25, 50, 75])
+    medians = record["medians_ms"]
     for name in record["differ"]:
         print(f"{name}: DIFFERS")
     differ = len(record["differ"])
-    print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
-          f"differ {differ}")
-    print(f"per-insert median ms: parent {mid[0]:.3f}, change {mid[1]:.3f} "
-          f"({ROUNDS} interleaved rounds per insert)")
-    print(f"per-insert ratio change/parent: median {q2:.3f} "
-          f"(quartiles {q1:.3f} / {q3:.3f})", flush=True)
+    if medians:
+        mid = np.median(medians, axis=0)
+        print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
+              f"differ {differ}")
+        print(f"per-insert median ms: parent {mid[0]:.3f}, change "
+              f"{mid[1]:.3f} ({ROUNDS} interleaved rounds per insert)")
+        print(f"per-insert ratio change/parent: {ratio_text(medians)}")
+    for name, ev in record["events"].items():
+        differ += ev["differ"]
+        mid = np.median(ev["pass_ns"], axis=0) / 1e6
+        print(f"events {name:16s} verdicts {ev['verdicts']}, bit-identical "
+              f"{ev['identical']}, actions differ {ev['differ']}; pass ms "
+              f"parent {mid[0]:.1f}, change {mid[1]:.1f}; ratio "
+              f"change/parent {ratio_text(ev['pass_ns'])}", flush=True)
     return differ
 
 
@@ -459,13 +529,13 @@ def main(argv):
             runs, corpora = compare_workloads(parent_dir, change_dir,
                                               Path(tmp))
             mismatches = cli + runs + (
-                compare_inserts(parent_dir, change_dir, corpora) > 0)
+                compare_replay(parent_dir, change_dir, corpora) > 0)
         except CheckoutError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     print("behaviour matches" if not mismatches
-          else f"runs that differ: {mismatches} (the CLI and insert legs "
-               f"count as one each)")
+          else f"runs that differ: {mismatches} (the CLI leg counts as "
+               f"one, the insert and event legs as one together)")
     return 1 if mismatches else 0
 
 
