@@ -58,10 +58,10 @@ class AdvisorConfig:
 
     def __post_init__(self):
         # negated tests so that a NaN is rejected too
-        if not self.gamma_change > 0:
-            raise ValidationError("gamma_change must be > 0")
-        if not self.threshold <= 0:
-            raise ValidationError("threshold must be <= 0")
+        if not 0 < self.gamma_change < np.inf:
+            raise ValidationError("gamma_change must be finite and > 0")
+        if not -np.inf < self.threshold <= 0:
+            raise ValidationError("threshold must be finite and <= 0")
         if not 0.0 < self.confidence <= 1.0:
             raise ValidationError("confidence must be in (0, 1]")
         check_int(self.k_neighbors, "k_neighbors", 1)

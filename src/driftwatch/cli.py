@@ -87,7 +87,8 @@ def compute_metrics(verdict_rows, labels, far_window=100):
 # ---------------------------------------------------------------- commands
 
 def lr_schedule(args, dims):
-    """``--lr-a 0`` picks 4/(I*J); a negative rate is a ValidationError."""
+    """``--lr-a 0`` picks 4/(I*J); a negative or infinite rate is a
+    ValidationError."""
     return LrSchedule.for_slices(dims, args.lr_b) if args.lr_a == 0 \
         else LrSchedule(args.lr_a, args.lr_b)
 

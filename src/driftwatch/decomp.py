@@ -33,10 +33,11 @@ class LrSchedule:
     b: float
 
     def __post_init__(self):
-        # a negative b makes 1 + b*t reach 0; NaN fails the test too
-        if not (self.a >= 0 and self.b >= 0):
-            raise ValidationError(
-                f"learning rate a = {self.a}, b = {self.b} must be >= 0")
+        # a negative b makes 1 + b*t reach 0, an infinite b makes it NaN at
+        # t = 0; NaN fails the test too
+        if not (0.0 <= self.a < np.inf and 0.0 <= self.b < np.inf):
+            raise ValidationError(f"learning rate a = {self.a}, b = {self.b} "
+                                  f"must be finite and >= 0")
 
     def __call__(self, t) -> float:
         return self.a / (1.0 + self.b * t)

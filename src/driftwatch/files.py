@@ -15,8 +15,8 @@ import numpy as np
 
 from .advisor import AdvisorConfig, LocationSnapshot, UpdatePolicy
 from .decomp import LrSchedule, NesgdState, OptimizerKind, StreamDecomposition
-from .errors import IoError, ValidationError, check_int
-from .ocsvm import KernelSpec, OcsvmModel
+from .errors import IoError, KktViolationError, ValidationError, check_int
+from .ocsvm import KernelSpec, OcsvmModel, kkt_partition
 from .tensor import DenseTensor3, KruskalFactors
 
 
@@ -258,8 +258,9 @@ def load_bundle(path, window_slices):
     """(window, decomp, model, snapshot, config) from a bundle file.
 
     An unreadable file is an IoError; anything that is not a well-formed
-    bundle (a window must be an int >= 1) is a ValidationError. Keys it
-    does not read, as older bundles' ``rank`` and ``snapshot.b``, are ignored.
+    bundle (a window must be an int >= 1, every number finite, the model
+    KKT) is a ValidationError. Keys it does not read, as older bundles'
+    ``rank`` and ``snapshot.b``, are ignored.
     """
     payload = read_json(path, "bundle")
     with parsing(f"bundle {path}"):
@@ -293,4 +294,18 @@ def load_bundle(path, window_slices):
         )
         window = payload["window"]
     check_int(window, f"bundle {path}: window", 1)
+    # the types' own checks reject NaN and inf in the scalars they bound
+    finite = {"factors": (f.a, f.b, f.c),
+              "state": (state.vel_a, state.vel_b, state.vel_c),
+              "model": (model.x, model.alpha, model.rho),
+              "snapshot": (snapshot.knn_scores,)}
+    for section, values in finite.items():
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValidationError(f"bundle {path}: {section} holds a number "
+                                  f"that is not finite")
+    try:
+        kkt_partition(model)
+    except KktViolationError as exc:
+        raise ValidationError(f"bundle {path}: the model is not KKT: "
+                              f"{exc}") from exc
     return window, decomp, model, snapshot, config

@@ -30,8 +30,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and not self.sigma > 0:  # NaN too
-            raise ValidationError("rbf sigma must be > 0")
+        if self.kind == "rbf" and not 0 < self.sigma < np.inf:  # NaN too
+            raise ValidationError("rbf sigma must be finite and > 0")
 
 
 def sq_distances(x, y, y_sq=None) -> np.ndarray:

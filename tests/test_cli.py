@@ -394,12 +394,15 @@ class TestBench:
 # train settings that are invalid on their own, by test case
 BAD_TRAIN_FLAGS = {
     "nan_train_gamma_change": ("--gamma-change", "nan"),
+    "inf_train_gamma_change": ("--gamma-change", "inf"),
     "nan_train_threshold": ("--threshold", "nan"),
     "positive_train_threshold": ("--threshold", "0.5"),
     "nan_train_sigma": ("--sigma", "nan"),
+    "inf_train_sigma": ("--sigma", "inf"),
     "above_one_train_confidence": ("--confidence", "1.5"),
     "zero_train_k_neighbors": ("--k-neighbors", "0"),
     "negative_train_lr_a": ("--lr-a", "-1"),
+    "inf_train_lr_a": ("--lr-a", "inf"),
     "above_one_train_nu": ("--nu", "1.5"),
     "nan_train_nu": ("--nu", "nan"),
     "too_small_train_nu": ("--nu", "0.01"),  # nu * window = 0.3 < 1
@@ -422,11 +425,18 @@ BAD_SYNTH_FLAGS = {
 BAD_BENCH_FLAGS = {
     "nan_bench_perturb_sigma": ("--perturb-sigma", "nan"),
     "nan_bench_l1_beta": ("--l1-beta", "nan"),
+    "inf_bench_lr_a": ("--lr-a", "inf"),
 }
 
 
 def edit_hex(section, key, edit):
     section[key] = to_hex(edit(from_hex(section[key])))
+
+
+def set_first(section, key, value):
+    """Sets the first number of the hex array ``section[key]``."""
+    edit_hex(section, key, lambda v: np.r_[value, v.ravel()[1:]].reshape(
+        v.shape))
 
 
 # bundle edits that each type's constructor must reject
@@ -455,6 +465,17 @@ BAD_BUNDLE_FIELDS = {
     "bool_bundle_step": lambda p: p["state"].update(step=True),
     "nan_bundle_l1_beta": lambda p: p["state"].update(
         l1_beta=float.hex(float("nan"))),
+    "inf_bundle_lr_a": lambda p: p["state"]["lr"].update(
+        a=float.hex(float("inf"))),
+    # numbers no constructor bounds, and a model that breaks KKT
+    "nan_bundle_rho": lambda p: p["model"].update(
+        rho=float.hex(float("nan"))),
+    "nan_bundle_alpha": lambda p: set_first(p["model"], "alpha", np.nan),
+    "inf_bundle_training_row": lambda p: set_first(p["model"], "train_x",
+                                                  np.inf),
+    "nan_bundle_knn": lambda p: set_first(p["snapshot"], "knn", np.nan),
+    "negative_bundle_alpha": lambda p: set_first(p["model"], "alpha", -0.01),
+    "nan_bundle_vel_a": lambda p: set_first(p["state"], "vel_a", np.nan),
 }
 
 

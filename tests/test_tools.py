@@ -1,6 +1,6 @@
-"""tools/same_behaviour.py: its number and value comparisons, its error
-line, and its insert and event legs, replaying recorded inserts and saved
-streams through two copies of the package."""
+"""tools/same_behaviour.py: its number, value and JSON comparisons, its
+error line, and its replay, which steps a saved stream through two copies
+of the package and replays the inserts it makes."""
 
 import importlib.util
 import math
@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch import cli, incremental, load_tensor_csv
-from driftwatch.ocsvm import KernelSpec, train_batch
+from driftwatch import cli, load_tensor_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -28,6 +27,12 @@ ACCEPT = """    if g_raw >= 0.0:
 """
 # every negative score is reported, so the model never updates
 REPORT_EVERY_NEGATIVE = ACCEPT + "    return g_raw, Action.REPORT_ANOMALY\n"
+RETURN_VERDICT = ("    return state, Verdict(t_idx, g_raw, p_env, g_adv, "
+                  "action)\n")
+# an error that is no DriftwatchError, after the event has changed the state
+RAISE_AT_EVENT_10 = """    if t_idx == 10:
+        raise RuntimeError("boom")
+"""
 
 
 def change_copy(root, module, old, new):
@@ -77,60 +82,91 @@ def test_failed_subprocess_is_one_error_line():
     assert str(err.value) == "probe failed: RuntimeError: x"
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """A few inserts into a small batch model, saved the way the tool's
-    workload runs save theirs."""
-    rng = np.random.default_rng(4)
-    model = train_batch(rng.normal(size=(40, 3)), 0.2, KernelSpec("rbf", 1.5))
-    recorder = same_behaviour.InsertRecorder(incremental.add_sample)
-    for x_c in 2.0 * rng.normal(size=(30, 3)):
-        model, _ = recorder(model, x_c)
-    path = tmp_path_factory.mktemp("corpus") / "small.npz"
-    recorder.save(path)
-    return path
+class TestLeafDiff:
+    OLD = {"a.b": "1", "a.c": '"0x1.0000000000000p+0"', "d": "[1, 2]"}
+
+    def test_names_added_removed_and_changed_paths(self):
+        new = {"a.b": "1", "a.c": '"0x1.8000000000000p+0"', "e": "true"}
+        assert same_behaviour.leaf_diff("b.json", self.OLD, new) == [
+            "    b.json added: e",
+            "    b.json removed: d",
+            "    b.json changed: a.c" + " " * 22 + "max|dnumber| 5.0e-01",
+        ]
+
+    def test_equal_leaves_give_no_lines(self):
+        assert same_behaviour.leaf_diff("b.json", self.OLD,
+                                        dict(self.OLD)) == []
+
+
+def test_bundles_must_be_byte_identical_while_cli_files_may_round(capsys):
+    old = {"b.json": b'{"x": "0x1.0000000000000p+0"}'}
+    new = {"b.json": b'{"x": "0x1.0000000000001p+0"}'}
+    assert same_behaviour.compare_files("cli", old, new,
+                                        same_behaviour.G_RAW_TOL) == 0
+    assert same_behaviour.compare_files("bundle", old, new) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "bundle b.json MISMATCH max|dnumber| 2.2e-16",
+        "    b.json changed: x" + " " * 24 + "max|dnumber| 2.2e-16"]
 
 
 @pytest.fixture(scope="module")
-def small_bundle(tmp_path_factory):
-    """The bundle of A6's train command, with its input tensor and window
-    length saved next to it the way the tool's seed-1 runs save theirs."""
-    tmp = tmp_path_factory.mktemp("events")
+def small_run(tmp_path_factory):
+    """A set-up directory holding one run, "small": the bundle of A6's
+    train command for both sides, and its input tensor and window length
+    as the parent's set-up saves them. Its stream makes 5 inserts."""
+    work = tmp_path_factory.mktemp("work")
+    tmp = tmp_path_factory.mktemp("cli")
     for argv in same_behaviour.CLI_COMMANDS[0], same_behaviour.CLI_COMMANDS[2]:
         assert cli.main([str(tmp / arg) if arg in ("t.csv", "b.json")
                          else arg for arg in argv]) == 0
-    np.savez(tmp / "small.npz", data=load_tensor_csv(str(tmp / "t.csv")).data,
-             window=30)
-    return (tmp / "b.json").rename(tmp / "small.json")
+    for side in same_behaviour.SIDES:
+        (work / side).mkdir()
+        shutil.copyfile(tmp / "b.json", work / side / "small.json")
+    np.savez(work / "parent" / "small.npz",
+             data=load_tensor_csv(str(tmp / "t.csv")).data, window=30)
+    return work
 
 
-def test_replay_through_two_copies_is_identical(corpus, capsys):
-    assert same_behaviour.compare_replay(ROOT, ROOT, [corpus]) == 0
-    assert "inserts 30, identical 30, differ 0" in capsys.readouterr().out
+def replay(change, work, capsys):
+    """The small run replayed through this checkout and ``change``: the
+    numbers of runs and of inserts that differ, and the printed lines."""
+    runs, inserts = same_behaviour.compare_replay(ROOT, change, work,
+                                                  ["small"])
+    return runs, inserts, capsys.readouterr().out
 
 
-def test_replay_names_the_inserts_a_one_ulp_change_moves(corpus, capsys,
+def test_replay_through_two_copies_is_identical(small_run, capsys):
+    runs, inserts, out = replay(ROOT, small_run, capsys)
+    verdicts = 30 * same_behaviour.ROUNDS
+    assert runs == inserts == 0
+    assert (f"small                  match                    verdicts "
+            f"{verdicts}, bit-identical {verdicts}; max|dg_raw| 0.0e+00  "
+            f"max|dmodel| 0.0e+00  inserts 5  ") in out
+    assert "inserts 5, identical 5, differ 0" in out
+
+
+def test_replay_names_the_inserts_a_one_ulp_change_moves(small_run, capsys,
                                                          tmp_path):
     change = change_copy(tmp_path, "incremental.py", GAMMA,
                          GAMMA_REASSOCIATED)
-    differ = same_behaviour.compare_replay(ROOT, change, [corpus])
-    out = capsys.readouterr().out
-    assert differ > 0
-    assert out.count("small insert") == out.count("DIFFERS") == differ
+    _, inserts, out = replay(change, small_run, capsys)
+    assert inserts > 0
+    assert out.count("small insert") == out.count("DIFFERS") == inserts
 
 
-def test_event_replay_through_two_copies_is_identical(small_bundle, capsys):
-    assert same_behaviour.compare_replay(ROOT, ROOT, [small_bundle]) == 0
-    verdicts = 30 * same_behaviour.ROUNDS
-    assert (f"events small            verdicts {verdicts}, bit-identical "
-            f"{verdicts}, actions differ 0;") in capsys.readouterr().out
-
-
-def test_event_replay_flags_a_change_that_reports_every_negative_score(
-        small_bundle, capsys, tmp_path):
+def test_replay_flags_a_change_that_reports_every_negative_score(
+        small_run, capsys, tmp_path):
     change = change_copy(tmp_path, "advisor.py", ACCEPT,
                          REPORT_EVERY_NEGATIVE)
-    differ = same_behaviour.compare_replay(ROOT, change, [small_bundle])
-    out = capsys.readouterr().out
-    assert differ > 0
-    assert f"actions differ {differ};" in out
+    runs, _, out = replay(change, small_run, capsys)
+    assert runs == 1
+    assert "small                  MISMATCH actions," in out
+
+
+def test_replay_counts_an_exception_as_a_mismatch(small_run, capsys,
+                                                  tmp_path):
+    change = change_copy(tmp_path, "advisor.py", RETURN_VERDICT,
+                         RAISE_AT_EVENT_10 + RETURN_VERDICT)
+    runs, inserts, out = replay(change, small_run, capsys)
+    assert (runs, inserts) == (1, 0)
+    assert "small                  MISMATCH actions,errors " in out

@@ -5,7 +5,7 @@ Usage, from anywhere:
     python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
 
 Each checkout runs in subprocesses, with one BLAS thread, that import
-its own ``src/`` and ``streambench/``. There are four legs.
+its own ``src/`` and ``streambench/``. There are three legs.
 
 1. CLI. Each checkout runs the commands of acceptance test A6, plus one
    ``stream`` each under ``--policy threshold`` and ``--policy none``, in
@@ -15,46 +15,43 @@ its own ``src/`` and ``streambench/``. There are four legs.
    differs by more than ``G_RAW_TOL``; a file that does not prints its
    largest numeric difference and, for JSON, the paths that differ.
 
-2. Workloads. For every workload of ``streambench/workloads.py`` and seeds
-   1-3, each checkout runs ``pipeline.setup`` and one ``stream_pass``. One
-   line is printed per run. The two must agree on the action of every
-   event, the ``(case_id, index)`` sequence of insert migrations (per-case
-   counts are printed when it differs), the number of batch-retrain
-   fallbacks, and the sha256 of the set-up bundle (the JSON paths that
-   differ are printed when it does). ``final_model_check`` must hold on
-   both final models, which must have the same training size, with
-   |delta alpha|, |delta rho| and every event's |delta g_raw| at most
-   ``G_RAW_TOL``. The parent's runs record every ``add_sample`` call, and
-   its seed-1 runs save the set-up bundle and the input tensor.
+2. Set-up. One subprocess per checkout runs ``pipeline.setup`` for every
+   workload of ``streambench/workloads.py`` and seeds 1-3, nine runs, and
+   keeps each set-up bundle; the parent's also saves each input tensor.
+   One line is printed per bundle. The bundles must be byte-identical; a
+   bundle that is not prints the JSON paths that differ.
 
-3. Inserts. A last subprocess, in which neither checkout is importable as
+3. Replay. A last subprocess, in which neither checkout is importable as
    ``driftwatch``, copies each ``src/driftwatch`` under a name of its own
    (``dw_parent``, ``dw_change``; the package imports itself only
-   relatively) and replays every recorded insert through both
-   ``incremental.add_sample``. The results must be identical: the new
-   training rows and dual coefficients byte for byte, rho bit for bit,
-   the migration events field by field with the types of their numbers,
-   or the same error with the same message. Each insert is timed
-   ``ROUNDS`` times per side, interleaved, the side that goes first
+   relatively). For every run it loads each side from the bundle its own
+   checkout wrote and steps the two ``PipelineState``s through the
+   parent's input together, ``ROUNDS`` passes, timing every
+   ``process_event`` with the side that goes first alternating from event
+   to event. Each event must give the same action on both sides, no
+   exception on either and |delta g_raw| at most ``G_RAW_TOL``; verdicts
+   that are bit-identical (every field with its type, by ``exact``) are
+   counted. After the first pass both sides must have the same
+   ``(case_id, index)`` sequence of insert migrations (per-case counts are
+   printed when it differs) and number of batch-retrain fallbacks, and
+   final models of the same training size n, with |delta alpha| and
+   |delta rho| at most ``G_RAW_TOL``, that each pass ``kkt_partition`` and
+   match a batch retrain within A3's 1e-5. One line per run gives these
+   and the median and quartiles over the passes of the pass-time ratio
+   change/parent. Last, every ``add_sample`` call of the parent's first
+   passes, kept in memory, is replayed through both packages: the new
+   training rows and dual coefficients must be identical byte for byte,
+   rho bit for bit, the migration events field by field with the types of
+   their numbers, or the same error with the same message. Each insert is
+   timed ``ROUNDS`` times per side, interleaved, the side that goes first
    alternating, so a slow spell of the host lands on both sides; the
    median and quartiles of the per-insert ratio change/parent are printed.
-
-4. Events. The same subprocess loads each saved bundle through both
-   checkouts' ``files.load_bundle`` and steps the two ``PipelineState``s
-   through the workload's events together, ``ROUNDS`` passes from the
-   bundle, timing each ``process_event``, the side that goes first
-   alternating on every event. Verdicts are compared field by field with
-   ``exact``; an action that differs (or an error on one side only) is a
-   mismatch. One line per workload gives the number of verdicts, how many
-   are bit-identical, and the median and quartiles over the passes of
-   the pass-time ratio change/parent.
 
 The exit status is 1 on any mismatch, 2 with one ``error:`` line when a
 checkout cannot be run, 0 otherwise. Nothing under ``streambench/``
 changes.
 """
 
-import hashlib
 import importlib
 import json
 import math
@@ -72,6 +69,7 @@ import numpy as np
 
 SEEDS = (1, 2, 3)
 G_RAW_TOL = 1e-12
+A3_TOL = 1e-5  # final model vs batch retrain, as in acceptance test A3
 CHILD_TIMEOUT_S = 1800
 ROUNDS = 7
 SIDES = ("parent", "change")
@@ -159,10 +157,13 @@ def run(argv, env, cwd, what):
 
 
 def run_child(what, env, *args):
-    """Runs this file with ``args``; returns the JSON record it prints."""
-    out = run([sys.executable, str(Path(__file__).resolve()), *args], env,
-              None, what)
-    return json.loads(out.splitlines()[-1])
+    """Runs this file with ``args``; prints what it prints but the last
+    line, a JSON value, which it returns."""
+    *lines, last = run([sys.executable, str(Path(__file__).resolve()),
+                        *args], env, None, what).decode().splitlines()
+    if lines:
+        print("\n".join(lines), flush=True)
+    return json.loads(last)
 
 
 def run_cli(checkout):
@@ -193,24 +194,27 @@ def numeric_diff(old, new):
                default=0.0)
 
 
-def compare_cli(parent_dir, change_dir):
-    """Prints one line per CLI output file; returns the number that do not
-    match."""
-    parent, change = run_cli(parent_dir), run_cli(change_dir)
+def compare_files(leg, parent, change, tol=None):
+    """Prints one line per file of ``leg``, given as {name: bytes} per
+    side; returns the number that do not match. A file matches when its
+    bytes are equal or, with a ``tol``, when no number differs by more."""
+    names = sorted(parent.keys() | change.keys())
+    width = max(map(len, names), default=0)
     bad = 0
-    for name in sorted(parent.keys() | change.keys()):
+    for name in names:
+        head = f"{leg} {name:{width}s}"
         if name not in parent or name not in change:
             bad += 1
             side = "parent" if name not in parent else "change"
-            print(f"cli {name:19s} MISMATCH missing in the {side}")
+            print(f"{head} MISMATCH missing in the {side}")
             continue
         if parent[name] == change[name]:
-            print(f"cli {name:19s} match  identical bytes")
+            print(f"{head} match  identical bytes")
             continue
         diff = numeric_diff(parent[name].decode(), change[name].decode())
-        ok = diff <= G_RAW_TOL
+        ok = tol is not None and diff <= tol
         bad += not ok
-        print(f"cli {name:19s} {'match ' if ok else 'MISMATCH'} "
+        print(f"{head} {'match ' if ok else 'MISMATCH'} "
               f"max|dnumber| {diff:.1e}", flush=True)
         if not ok and (name.endswith(".json") or name == EVAL_STDOUT):
             old, new = (json_leaves(json.loads(files[name]))
@@ -221,175 +225,45 @@ def compare_cli(parent_dir, change_dir):
     return bad
 
 
-class InsertRecorder:
-    """Stands in for ``add_sample`` and keeps every call's model and
-    inserted vector."""
-
-    def __init__(self, add_sample):
-        self.add_sample, self.arrays, self.meta = add_sample, {}, []
-
-    def __call__(self, model, x_c, *args, **kwargs):
-        k = len(self.meta)
-        self.arrays[f"x{k}"] = model.x.copy()
-        self.arrays[f"alpha{k}"] = model.alpha.copy()
-        self.arrays[f"xc{k}"] = np.array(x_c, dtype=np.float64)
-        self.meta.append({"rho": model.rho.hex(), "nu": model.nu.hex(),
-                          "kind": model.kernel.kind,
-                          "sigma": float(model.kernel.sigma).hex()})
-        return self.add_sample(model, x_c, *args, **kwargs)
-
-    def save(self, path):
-        """Writes the calls to the npz file ``path``."""
-        np.savez(path, meta=json.dumps(self.meta), **self.arrays)
-
-
-def child(checkout, workload, seed, corpus=None, bundle_copy=None):
-    """Runs in the subprocess: sets up and streams one pass, saves its
-    inserts to the npz file ``corpus`` and its set-up bundle to
-    ``bundle_copy`` (the input tensor and window length next to it, as
-    npz) if they are given, and prints one JSON record."""
+def setup(checkout, out, *save_inputs):
+    """Runs in the subprocess: writes the set-up bundle of every workload
+    and seed to the directory ``out`` and, given ``save_inputs``, the
+    input tensor and window length next to it as npz; prints the run names
+    as JSON."""
     import driftwatch
-    from driftwatch import advisor
     import pipeline
     import workloads
 
     src = Path(checkout).resolve() / "src" / "driftwatch"
     if Path(driftwatch.__file__).resolve().parent != src:
         raise RuntimeError(f"imported driftwatch from {driftwatch.__file__}")
-    spec = workloads.WORKLOADS[workload]
-    data, _ = workloads.generate(spec, int(seed))
-    window = [data[:, :, k].copy() for k in range(spec.window)]
-    events = [data[:, :, spec.window + k].copy() for k in range(spec.events)]
-    if bundle_copy:
-        np.savez(Path(bundle_copy).with_suffix(".npz"), data=data,
-                 window=spec.window)
-    del data
-
-    g_raw = []
-    process_event = advisor.process_event
-    inserts = InsertRecorder(advisor.add_sample)
-
-    def recording(state, slice_ij):
-        state, verdict = process_event(state, slice_ij)
-        g_raw.append(verdict.g_raw)
-        return state, verdict
-
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle = Path(tmp) / "bundle.json"
-        _, state = pipeline.setup(window, str(bundle))
-        digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
-        leaves = json_leaves(json.loads(bundle.read_text()))
-        if bundle_copy:
-            shutil.copyfile(bundle, bundle_copy)
-    # stream_pass and _incorporate look these up per call
-    advisor.process_event, advisor.add_sample = recording, inserts
-    result = pipeline.stream_pass(state, events)
-    if corpus:
-        inserts.save(corpus)
-    final = result.state.model
-    ok, diff, _, _ = pipeline.final_model_check(final)
-    print(json.dumps({
-        "actions": result.actions,
-        "failures": len(result.failures),
-        "retrain_fallbacks": result.state.retrain_fallbacks,
-        "migrations": [[ev["case_id"], ev["index"]]
-                       for ev in result.state.migration_log],
-        "bundle_sha256": digest,
-        "bundle_leaves": leaves,
-        "final_model_check": ok,
-        "final_model_diff": diff,
-        "final_model": {"n": final.n, "alpha": final.alpha.tolist(),
-                        "rho": final.rho},
-        "g_raw": g_raw,
-    }))
-
-
-def case_counts(record):
-    """A run's migration total and its count per case id, as text."""
-    counts = Counter(case for case, _ in record["migrations"])
-    return (f"{len(record['migrations'])} ("
-            + ", ".join(f"case{c} {counts[c]}" for c in sorted(counts)) + ")")
-
-
-def model_diff(old, new):
-    """Largest |delta alpha| or |delta rho| of two final models; inf when
-    their training sizes differ."""
-    if old["n"] != new["n"]:
-        return float("inf")
-    return max(abs(old["rho"] - new["rho"]),
-               *(abs(p - c) for p, c in zip(old["alpha"], new["alpha"])))
-
-
-def compare(parent, change):
-    """(mismatch names, max |delta g_raw|, final model diff) between two
-    child records."""
-    bad = [key for key in ("actions", "migrations", "retrain_fallbacks",
-                           "bundle_sha256")
-           if parent[key] != change[key]]
-    if parent["failures"] or change["failures"]:
-        bad.append("failures")
-    if not (parent["final_model_check"] and change["final_model_check"]):
-        bad.append("final_model_check")
-    dm = model_diff(parent["final_model"], change["final_model"])
-    if not dm <= G_RAW_TOL:
-        bad.append("final_model")
-    if len(parent["g_raw"]) != len(change["g_raw"]):
-        bad.append("g_raw")
-        return bad, float("inf"), dm
-    dg = max((abs(p - c) for p, c in zip(parent["g_raw"], change["g_raw"])),
-             default=0.0)
-    if not dg <= G_RAW_TOL:
-        bad.append("g_raw")
-    return bad, dg, dm
-
-
-def compare_workloads(parent_dir, change_dir, corpus_dir):
-    """Prints one line per workload and seed; returns the number of runs
-    that do not match and the files the replay reads: the npz files of the
-    parent's inserts and its seed-1 bundles."""
-    sys.path[:0] = [str(change_dir / "src"), str(change_dir / "streambench")]
-    import workloads
-    mismatches, corpora, bundles = 0, [], []
-    for workload in workloads.WORKLOADS:
-        bundles.append(corpus_dir / f"{workload}.json")
+    runs = []
+    for workload, spec in workloads.WORKLOADS.items():
         for seed in SEEDS:
-            corpora.append(corpus_dir / f"{workload}_seed{seed}.npz")
-            saved = [corpora[-1]] + ([bundles[-1]] if seed == 1 else [])
-            parent, change = (
-                run_child(f"{d} {workload} seed {seed}", child_env(d),
-                          "--child", str(d), workload, str(seed), *args)
-                for d, args in ((parent_dir, map(str, saved)),
-                                (change_dir, [])))
-            bad, dg, dm = compare(parent, change)
-            mismatches += bool(bad)
-            print(f"{workload:16s} seed {seed}: "
-                  f"{'MISMATCH ' + ','.join(bad) if bad else 'match':28s} "
-                  f"max|dg_raw| {dg:.1e}  max|dmodel| {dm:.1e}  "
-                  f"inserts {change['actions'].count('update_model')}  "
-                  f"migrations {len(change['migrations'])}  "
-                  f"fallbacks {parent['retrain_fallbacks']}/"
-                  f"{change['retrain_fallbacks']}  "
-                  f"A3 diff {parent['final_model_diff']:.1e}/"
-                  f"{change['final_model_diff']:.1e}", flush=True)
-            if "migrations" in bad:
-                print(f"    migrations parent {case_counts(parent)}, "
-                      f"change {case_counts(change)}", flush=True)
-            if "bundle_sha256" in bad:
-                print("\n".join(leaf_diff("bundle", parent["bundle_leaves"],
-                                          change["bundle_leaves"])
-                                or ["    bundle: same JSON, other bytes"]),
-                      flush=True)
-    return mismatches, corpora + bundles
+            runs.append(f"{workload}_seed{seed}")
+            data, _ = workloads.generate(spec, seed)
+            if save_inputs:
+                np.savez(Path(out) / f"{runs[-1]}.npz", data=data,
+                         window=spec.window)
+            pipeline.setup([data[:, :, k].copy() for k in range(spec.window)],
+                           str(Path(out) / f"{runs[-1]}.json"))
+    print(json.dumps(runs))
 
 
-def outcome(pkg, model, x_c):
-    """What ``pkg``'s insert returns, as comparable values."""
-    try:
-        new, events = pkg.incremental.add_sample(model, x_c)
-    except pkg.errors.DriftwatchError as exc:
-        return ("raised", type(exc).__name__, str(exc))
-    return (new.x.tobytes(), new.alpha.tobytes(), new.rho.hex(),
-            [tuple(exact(v) for v in vars(ev).values()) for ev in events])
+def compare_setup(parent_dir, change_dir, work):
+    """Sets up every run in both checkouts, under ``work``/parent and
+    ``work``/change, and prints one line per bundle; returns the number of
+    bundles that differ and the runs both checkouts set up."""
+    runs = []
+    for side, checkout in zip(SIDES, (parent_dir, change_dir)):
+        (work / side).mkdir()
+        runs.append(run_child(f"{checkout} set-up", child_env(checkout),
+                              "--setup", str(checkout), str(work / side),
+                              *(["inputs"] if side == "parent" else [])))
+    bundles = [{path.name: path.read_bytes()
+                for path in (work / side).glob("*.json")} for side in SIDES]
+    return (compare_files("bundle", *bundles),
+            [name for name in runs[0] if name in runs[1]])
 
 
 def exact(value):
@@ -398,80 +272,45 @@ def exact(value):
             value.hex() if isinstance(value, float) else value)
 
 
-def step_both(pkgs, bundle):
-    """Steps both packages' pipelines, loaded from ``bundle``, through the
-    events saved next to it, ``ROUNDS`` times; returns a JSON record."""
-    with np.load(Path(bundle).with_suffix(".npz")) as npz:
-        data, w = npz["data"], int(npz["window"])
-    slices = [data[:, :, k].copy() for k in range(data.shape[2])]
-    same = differ = 0
-    passes = []
-    for r in range(ROUNDS):
-        states = [pkg.advisor.PipelineState(
-            *pkg.files.load_bundle(bundle, slices[:w])[1:]) for pkg in pkgs]
-        ns = [0, 0]
-        for i, slice_ij in enumerate(slices[w:]):
-            verdicts = [None, None]
-            for side in (0, 1) if (r + i) % 2 == 0 else (1, 0):
-                t0 = time.perf_counter_ns()
-                try:
-                    states[side], v = pkgs[side].advisor.process_event(
-                        states[side], slice_ij)
-                    verdicts[side] = (v.time_index, v.g_raw, v.p_env,
-                                      v.g_advised, v.action.value)
-                except pkgs[side].errors.DriftwatchError as exc:
-                    verdicts[side] = ("raised", type(exc).__name__, str(exc))
-                ns[side] += time.perf_counter_ns() - t0
-            same += [*map(exact, verdicts[0])] == [*map(exact, verdicts[1])]
-            differ += verdicts[0][-1] != verdicts[1][-1]
-        passes.append(ns)
-    return {"verdicts": ROUNDS * (len(slices) - w), "identical": same,
-            "differ": differ, "pass_ns": passes}
+def outcome(pkg, model, x_c):
+    """What ``pkg``'s insert returns, as comparable values."""
+    try:
+        new, events = pkg.incremental.add_sample(model, x_c)
+    except Exception as exc:  # compared like any other outcome
+        return ("raised", type(exc).__name__, str(exc))
+    return (new.x.tobytes(), new.alpha.tobytes(), new.rho.hex(),
+            [tuple(exact(v) for v in vars(ev).values()) for ev in events])
 
 
-def replay(parent_dir, change_dir, *corpora):
-    """Runs in the subprocess: replays and times every insert saved in the
-    npz files of ``corpora`` and steps the pipelines of its json bundles
-    through both checkouts; prints one JSON record."""
-    differ, medians = [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        for side, checkout in zip(SIDES, (parent_dir, change_dir)):
-            shutil.copytree(Path(checkout) / "src" / "driftwatch",
-                            Path(tmp) / f"dw_{side}")
-        sys.path.insert(0, tmp)
-        # the package imports its errors, incremental and ocsvm modules
-        pkgs = [importlib.import_module(f"dw_{side}") for side in SIDES]
-        events = {Path(b).stem: step_both(pkgs, b)
-                  for b in corpora if b.endswith(".json")}
-        for corpus in (c for c in corpora if c.endswith(".npz")):
-            with np.load(corpus) as npz:
-                data = dict(npz)
-            for k, rec in enumerate(json.loads(str(data["meta"]))):
-                x_c = data[f"xc{k}"]
-                models = [pkg.ocsvm.OcsvmModel(
-                    data[f"x{k}"], data[f"alpha{k}"],
-                    float.fromhex(rec["rho"]), float.fromhex(rec["nu"]),
-                    pkg.ocsvm.KernelSpec(rec["kind"],
-                                         float.fromhex(rec["sigma"])))
-                    for pkg in pkgs]
-                results = [outcome(p, m, x_c) for p, m in zip(pkgs, models)]
-                if results[0] != results[1]:
-                    differ.append(f"{Path(corpus).stem} insert {k} "
-                                  f"(n = {models[0].n})")
-                times = [[], []]
-                for r in range(ROUNDS):
-                    for side in ((0, 1) if (len(medians) + r) % 2 == 0
-                                 else (1, 0)):
-                        t0 = time.perf_counter_ns()
-                        try:
-                            pkgs[side].incremental.add_sample(models[side],
-                                                              x_c)
-                        except pkgs[side].errors.DriftwatchError:
-                            pass  # compared above
-                        times[side].append(time.perf_counter_ns() - t0)
-                medians.append((np.median(times, axis=1) / 1e6).tolist())
-    print(json.dumps({"differ": differ, "medians_ms": medians,
-                      "events": events}))
+def final_check(pkg, model):
+    """``pipeline.final_model_check`` through ``pkg``, which this process
+    cannot import as ``driftwatch``: (KKT holds and the training decision
+    values are within A3_TOL of a batch retrain, their largest
+    difference)."""
+    try:
+        pkg.ocsvm.kkt_partition(model)
+    except pkg.errors.KktViolationError:
+        return False, math.inf
+    batch = pkg.ocsvm.train_batch(model.x, model.nu, model.kernel)
+    diff = float(np.max(np.abs(model.training_decision_values()
+                               - batch.training_decision_values())))
+    return diff <= A3_TOL, diff
+
+
+def model_diff(old, new):
+    """Largest |delta alpha| or |delta rho| of two models; inf when their
+    training sizes differ."""
+    if old.n != new.n:
+        return math.inf
+    return max(abs(old.rho - new.rho),
+               float(np.max(np.abs(old.alpha - new.alpha))))
+
+
+def case_counts(migrations):
+    """A migration sequence's length and its count per case id, as text."""
+    counts = Counter(case for case, _ in migrations)
+    return (f"{len(migrations)} ("
+            + ", ".join(f"case{c} {counts[c]}" for c in sorted(counts)) + ")")
 
 
 def ratio_text(times):
@@ -482,16 +321,101 @@ def ratio_text(times):
     return f"median {q2:.3f} (quartiles {q1:.3f} / {q3:.3f})"
 
 
-def compare_replay(parent_dir, change_dir, corpora):
-    """Replays the inserts and steps the events saved in ``corpora``
-    through both checkouts; prints the result and returns the number of
-    inserts and verdict actions that differ."""
-    record = run_child("the replay", child_env(None), "--replay",
-                       str(parent_dir), str(change_dir), *map(str, corpora))
-    medians = record["medians_ms"]
-    for name in record["differ"]:
-        print(f"{name}: DIFFERS")
-    differ = len(record["differ"])
+def step_run(pkgs, work, name):
+    """Steps both packages' pipelines through run ``name`` ``ROUNDS``
+    times, each side from the bundle its own checkout wrote; prints the
+    run's line and returns whether it matches and the parent's
+    ``(model, x_c)`` insert calls of the first pass."""
+    with np.load(work / "parent" / f"{name}.npz") as npz:
+        data, w = npz["data"], int(npz["window"])
+    slices = [data[:, :, k].copy() for k in range(data.shape[2])]
+    add_sample, inserts = pkgs[0].advisor.add_sample, []
+
+    def recording(model, x_c):
+        inserts.append((model, np.array(x_c)))
+        return add_sample(model, x_c)
+
+    counts = dict.fromkeys(("actions", "errors", "g_raw", "migrations",
+                            "retrain_fallbacks", "final_model",
+                            "final_model_check"), 0)
+    same, dg, passes = 0, 0.0, []
+    pkgs[0].advisor.add_sample = recording  # _incorporate looks it up per call
+    for r in range(ROUNDS):
+        states = [pkg.advisor.PipelineState(*pkg.files.load_bundle(
+            work / side / f"{name}.json", slices[:w])[1:])
+            for pkg, side in zip(pkgs, SIDES)]
+        ns = [0, 0]
+        for i, slice_ij in enumerate(slices[w:]):
+            verdicts = [None, None]
+            for side in (0, 1) if (r + i) % 2 == 0 else (1, 0):
+                t0 = time.perf_counter_ns()
+                try:
+                    states[side], v = pkgs[side].advisor.process_event(
+                        states[side], slice_ij)
+                    verdicts[side] = (v.time_index, v.g_raw, v.p_env,
+                                      v.g_advised, v.action.value)
+                except Exception as exc:  # counted, as stream_pass does
+                    verdicts[side] = ("raised", type(exc).__name__, str(exc))
+                ns[side] += time.perf_counter_ns() - t0
+            old, new = verdicts
+            same += [*map(exact, old)] == [*map(exact, new)]
+            counts["actions"] += old[-1] != new[-1]
+            counts["errors"] += "raised" in (old[0], new[0])
+            if "raised" not in (old[0], new[0]):
+                counts["g_raw"] += not abs(old[1] - new[1]) <= G_RAW_TOL
+                dg = max(dg, abs(old[1] - new[1]))
+        passes.append(ns)
+        if r == 0:
+            pkgs[0].advisor.add_sample = add_sample
+            logs = [[(ev["case_id"], ev["index"]) for ev in s.migration_log]
+                    for s in states]
+            fallbacks = [s.retrain_fallbacks for s in states]
+            checks = [final_check(p, s.model) for p, s in zip(pkgs, states)]
+            dm = model_diff(states[0].model, states[1].model)
+            counts["migrations"] += logs[0] != logs[1]
+            counts["retrain_fallbacks"] += fallbacks[0] != fallbacks[1]
+            counts["final_model"] += not dm <= G_RAW_TOL
+            counts["final_model_check"] += not (checks[0][0]
+                                                and checks[1][0])
+    bad = [key for key, n in counts.items() if n]
+    mid = np.median(passes, axis=0) / 1e6
+    print(f"{name:22s} {'MISMATCH ' + ','.join(bad) if bad else 'match':24s}"
+          f" verdicts {ROUNDS * (len(slices) - w)}, bit-identical {same}; "
+          f"max|dg_raw| {dg:.1e}  max|dmodel| {dm:.1e}  inserts "
+          f"{len(inserts)}  migrations {len(logs[1])}  fallbacks "
+          f"{fallbacks[0]}/{fallbacks[1]}  A3 diff {checks[0][1]:.1e}/"
+          f"{checks[1][1]:.1e}; pass ms parent {mid[0]:.1f}, change "
+          f"{mid[1]:.1f}; ratio change/parent {ratio_text(passes)}")
+    if "migrations" in bad:
+        print(f"    migrations parent {case_counts(logs[0])}, "
+              f"change {case_counts(logs[1])}")
+    return not bad, inserts
+
+
+def replay_inserts(pkgs, inserts):
+    """Replays and times every ``(run, k, model, x_c)`` insert through both
+    packages; prints the inserts that differ and a summary, and returns
+    their number."""
+    differ, medians = 0, []
+    for name, k, recorded, x_c in inserts:
+        models = [pkg.ocsvm.OcsvmModel(
+            recorded.x, recorded.alpha, recorded.rho, recorded.nu,
+            pkg.ocsvm.KernelSpec(recorded.kernel.kind, recorded.kernel.sigma))
+            for pkg in pkgs]
+        if outcome(pkgs[0], models[0], x_c) != outcome(pkgs[1], models[1],
+                                                       x_c):
+            differ += 1
+            print(f"{name} insert {k} (n = {recorded.n}): DIFFERS")
+        times = [[], []]
+        for r in range(ROUNDS):
+            for side in (0, 1) if (len(medians) + r) % 2 == 0 else (1, 0):
+                t0 = time.perf_counter_ns()
+                try:
+                    pkgs[side].incremental.add_sample(models[side], x_c)
+                except Exception:
+                    pass  # compared above
+                times[side].append(time.perf_counter_ns() - t0)
+        medians.append((np.median(times, axis=1) / 1e6).tolist())
     if medians:
         mid = np.median(medians, axis=0)
         print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
@@ -499,19 +423,40 @@ def compare_replay(parent_dir, change_dir, corpora):
         print(f"per-insert median ms: parent {mid[0]:.3f}, change "
               f"{mid[1]:.3f} ({ROUNDS} interleaved rounds per insert)")
         print(f"per-insert ratio change/parent: {ratio_text(medians)}")
-    for name, ev in record["events"].items():
-        differ += ev["differ"]
-        mid = np.median(ev["pass_ns"], axis=0) / 1e6
-        print(f"events {name:16s} verdicts {ev['verdicts']}, bit-identical "
-              f"{ev['identical']}, actions differ {ev['differ']}; pass ms "
-              f"parent {mid[0]:.1f}, change {mid[1]:.1f}; ratio "
-              f"change/parent {ratio_text(ev['pass_ns'])}", flush=True)
     return differ
 
 
+def replay(parent_dir, change_dir, work, *runs):
+    """Runs in the subprocess: steps ``runs`` through both checkouts and
+    replays the parent's inserts; prints a line per run, the inserts'
+    summary and, last, the numbers of runs and of inserts that differ."""
+    bad, inserts = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, checkout in zip(SIDES, (parent_dir, change_dir)):
+            shutil.copytree(Path(checkout) / "src" / "driftwatch",
+                            Path(tmp) / f"dw_{side}")
+        sys.path.insert(0, tmp)
+        # the package imports its errors, incremental and ocsvm modules
+        pkgs = [importlib.import_module(f"dw_{side}") for side in SIDES]
+        for name in runs:
+            ok, calls = step_run(pkgs, Path(work), name)
+            bad += not ok
+            inserts += [(name, k, *call) for k, call in enumerate(calls)]
+        differ = replay_inserts(pkgs, inserts)
+    print(json.dumps([bad, differ]))
+
+
+def compare_replay(parent_dir, change_dir, work, runs):
+    """Steps ``runs``, set up under ``work``, through both checkouts in the
+    replay subprocess; returns the numbers of runs and of inserts that
+    differ."""
+    return run_child("the replay", child_env(None), "--replay",
+                     str(parent_dir), str(change_dir), str(work), *runs)
+
+
 def main(argv):
-    if argv[:1] in (["--child"], ["--replay"]):  # a subprocess of the tool
-        (child if argv[0] == "--child" else replay)(*argv[1:])
+    if argv[:1] in (["--setup"], ["--replay"]):  # a subprocess of the tool
+        (setup if argv[0] == "--setup" else replay)(*argv[1:])
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -525,18 +470,20 @@ def main(argv):
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            cli = compare_cli(parent_dir, change_dir) > 0
-            runs, corpora = compare_workloads(parent_dir, change_dir,
-                                              Path(tmp))
-            mismatches = cli + runs + (
-                compare_replay(parent_dir, change_dir, corpora) > 0)
+            cli = compare_files("cli", run_cli(parent_dir),
+                                run_cli(change_dir), G_RAW_TOL)
+            bundles, names = compare_setup(parent_dir, change_dir, Path(tmp))
+            runs, inserts = compare_replay(parent_dir, change_dir, Path(tmp),
+                                           names)
         except CheckoutError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    print("behaviour matches" if not mismatches
-          else f"runs that differ: {mismatches} (the CLI leg counts as "
-               f"one, the insert and event legs as one together)")
-    return 1 if mismatches else 0
+    if not cli + bundles + runs + inserts:
+        print("behaviour matches")
+        return 0
+    print(f"differ: {cli} CLI files, {bundles} bundles, {runs} runs, "
+          f"{inserts} inserts")
+    return 1
 
 
 if __name__ == "__main__":
