@@ -27,6 +27,7 @@ from .errors import (
     IoError,
     NumericalError,
     ValidationError,
+    check_int,
 )
 from .files import (
     labels_path,
@@ -138,6 +139,7 @@ def cmd_train(args):
     k_n = tensor.dims[2]
     if not 1 <= args.window <= k_n:
         raise ValidationError(f"window {args.window} is not in 1..K = {k_n}")
+    check_int(args.rank, "rank", 1)  # settings are checked before the fit
     check_nu(args.nu, args.window)  # the window's rows train the model
     window = DenseTensor3(tensor.data[:, :, : args.window])
     lr = lr_schedule(args, tensor.dims)

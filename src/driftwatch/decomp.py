@@ -109,81 +109,89 @@ def init_factors(dims, rank, seed) -> KruskalFactors:
     )
 
 
-def _slice_gradients(slice_ij, a, b, c_row, with_c):
-    """Per-slice contributions to the mode directions for A, B and, when
-    ``with_c``, the C row (None otherwise); the C row is diag(A^T R B) for
-    the residual R, taken from one BLAS product."""
-    ac = a * c_row
-    resid = slice_ij - ac @ b.T
-    g_a = resid @ (b * c_row)
-    g_b = resid.T @ ac
-    g_c = (a * (resid @ b)).sum(axis=0) if with_c else None
-    return g_a, g_b, g_c
+# a little under OVERFLOW_LIMIT**2: a sum of fewer than 1e9 squares that
+# rounds to at most this has no entry beyond the limit
+SQUARES_BOUND = OVERFLOW_LIMIT**2 * (1.0 - 1e-6)
 
 
-def _check_finite(*mats):
-    for m in mats:
-        # one reduction; a NaN fails the comparison, so it raises too
-        if m is not None and not np.abs(m).max() <= OVERFLOW_LIMIT:
-            raise DivergedError("factor entries exceeded the overflow limit")
+def _check_finite(m):
+    """Raise DivergedError unless every entry of ``m`` is within
+    OVERFLOW_LIMIT; only a sum of squares above SQUARES_BOUND, NaN or inf
+    runs the exact test. ``vdot``, unlike ``dot``, does not warn on inf."""
+    if not (np.vdot(m, m) <= SQUARES_BOUND
+            or np.abs(m).max() <= OVERFLOW_LIMIT):
+        raise DivergedError("factor entries exceeded the overflow limit")
 
 
-def _apply_step(w, vel, slice_ij, c_new, state, kind):
-    """One momentum step on the block ``w`` from a single frontal slice.
+def _step_terms(state, kind):
+    """(gamma, beta, noise std per unit rate) of ``kind``: SGD has all three
+    0, PSGD adds perturb_sigma, and NESGD also uses friction and l1_beta."""
+    nesgd = kind is OptimizerKind.NESGD
+    return (state.friction if nesgd else 0.0, state.l1_beta if nesgd else 0.0,
+            0.0 if kind is OptimizerKind.SGD else state.perturb_sigma)
+
+
+def _draw_noise(rng, sigmas, shape):
+    """A block of N(0, sigma^2) noise of ``shape`` per entry of ``sigmas``,
+    None where it is 0, from one ``rng`` call: bit for bit the blocks and end
+    state of ``normal(0, sigma, shape)`` per nonzero sigma, 0 + sigma*z."""
+    noise, drawn = [None] * len(sigmas), np.flatnonzero(sigmas)
+    blocks = rng.standard_normal((len(drawn), *shape))
+    blocks *= sigmas[drawn, None, None]
+    blocks += 0.0  # -0.0 reads +0.0, as in normal
+    for j, block in zip(drawn.tolist(), blocks):
+        noise[j] = block
+    return noise
+
+
+def _apply_step(w, vel, slice_ij, c_new, eta, noise, gamma, beta, out):
+    """One momentum step on the block ``w`` from a single frontal slice, at
+    rate ``eta`` with the ``noise`` block (None: no noise).
 
     In the window fit ``w`` stacks [A; B; C row] (I+J+1 rows) and ``c_new``
-    is None. Online it stacks [A; B] (I+J rows) and the C row is held at
-    ``c_new``: its direction is not computed. ``vel`` is the velocity block
-    of the same shape. Every kind takes one step on the whole block:
+    is None. Online it stacks [A; B] and the C row is held at ``c_new``: its
+    direction is not computed. ``vel`` is the velocity block. Every kind
+    takes one step on the whole block (``_step_terms`` gives the terms):
 
         vel <- gamma*vel + (1 - gamma)*g
-        w   <- w + eta*vel + N(0, sigma^2) - beta*sign(w)
+        w   <- w + eta*vel + noise - beta*sign(w)
 
-    with the direction g taken at the look-ahead point w + gamma*eta*vel.
-    SGD has gamma = beta = sigma = 0, PSGD adds sigma = perturb_sigma*eta,
-    and NESGD also uses gamma = friction and beta = l1_beta. A term with a
-    coefficient of exactly 0 would return its input, so it is skipped: the
-    probe, the momentum mix (vel = g), the noise (one draw) or the sign.
+    with the direction g taken at the look-ahead point w + gamma*eta*vel. A
+    term with a coefficient of exactly 0 would return its input, so it is
+    skipped: the probe, the momentum mix (vel = g) or the sign.
 
-    Returns the new ``(w, vel)`` and mutates neither input. A step whose
-    block, or ``c_new``, leaves the overflow limit raises ``DivergedError``
-    with ``state.rng`` rewound, so it changes nothing; the step-counter
-    increment is the caller's.
+    The new block and velocity go to ``out[0]`` and ``out[1]``, and
+    ``out[2]`` is scratch: caller-owned blocks of w's shape, apart from ``w``
+    and ``vel``. A new block beyond the overflow limit raises DivergedError.
     """
+    w_new, g, tmp = out  # the direction g is built in the velocity's buffer
     i_n, j_n = slice_ij.shape
-    eta = state.lr(state.step)
-    nesgd = kind is OptimizerKind.NESGD
-    gamma = state.friction if nesgd else 0.0
-    beta = state.l1_beta if nesgd else 0.0
-    # the noise std decays with the learning rate, so it vanishes as eta does
-    sigma = 0.0 if kind is OptimizerKind.SGD else state.perturb_sigma * eta
-
     # Look ahead by the upcoming displacement eta*gamma*vel. The velocity
     # is an exponential average of raw gradients, so an unscaled w+gamma*vel
     # probe point sits O(|grad|) away from w and destabilizes the step.
-    look = gamma * eta
-    probe = w + look * vel if look else w
-    with_c = c_new is None
-    g_a, g_b, g_c = _slice_gradients(
-        slice_ij, probe[:i_n], probe[i_n:i_n + j_n],
-        probe[-1] if with_c else c_new, with_c,
-    )
-    g = np.concatenate((g_a, g_b, g_c[None]) if with_c else (g_a, g_b))
-    vel = gamma * vel + (1.0 - gamma) * g if gamma else g
-    rng_state = state.rng.bit_generator.state
-    # accumulated in place in the order ((w + eta*vel) + noise) - beta*sign(w)
-    w_new = eta * vel
+    probe = w
+    if gamma * eta:
+        probe = np.multiply(vel, gamma * eta, out=tmp)
+        probe += w
+    a, b = probe[:i_n], probe[i_n:i_n + j_n]
+    abc = probe[:i_n + j_n] * (probe[-1] if c_new is None else c_new)
+    resid = np.dot(abc[:i_n], b.T)
+    np.subtract(slice_ij, resid, out=resid)
+    np.dot(resid, abc[i_n:], out=g[:i_n])
+    np.dot(resid.T, abc[:i_n], out=g[i_n:i_n + j_n])
+    if c_new is None:  # diag(A^T R B) from one BLAS product
+        np.add.reduce(a * np.dot(resid, b), axis=0, out=g[-1])
+    if gamma:
+        g *= 1.0 - gamma
+        g += np.multiply(vel, gamma, out=tmp)
+    # accumulated in the order ((w + eta*vel) + noise) - beta*sign(w)
+    np.multiply(g, eta, out=w_new)
     w_new += w
-    if sigma:
-        w_new += state.rng.normal(0.0, sigma, w.shape)
+    if noise is not None:
+        w_new += noise
     if beta:
-        w_new -= beta * np.sign(w)
-    try:
-        _check_finite(w_new, c_new)
-    except DivergedError:
-        state.rng.bit_generator.state = rng_state
-        raise
-    return w_new, vel
+        w_new -= np.multiply(np.sign(w, out=tmp), beta, out=tmp)
+    _check_finite(w_new)
 
 
 @dataclass
@@ -269,6 +277,7 @@ def _fit_start(t: DenseTensor3, rank, opts: StreamOptions):
     """The start of a window fit and of a benchmark pass: the window copy
     and its squared norm, the seeded factors A, B and a writable copy of C,
     a fresh optimizer state and the RMSE of the seeded factors."""
+    check_int(rank, "rank", 1)
     window, x_sq = _window_copy(t)
     f = init_factors(t.dims, rank, opts.seed)
     a, b, c = f.a, f.b, f.c.copy()
@@ -277,23 +286,41 @@ def _fit_start(t: DenseTensor3, rank, opts: StreamOptions):
 
 
 def _step_slices(window, a, b, c, state, kind, ks):
-    """One ``_apply_step`` on the view ``window[k]`` for each k of ``ks``.
-
-    The steps run on the block [A; B; C row], whose last row is loaded from
-    row k of ``c`` (and of ``state.vel_c``) before each step and stored back
-    after it. Returns the new (A, B); row k of ``c`` and of ``state.vel_c``
-    is updated in place. A step that raises ``DivergedError`` changes none
-    of them, so they hold what the steps before it left.
-    """
+    """One ``_apply_step`` on the view ``window[k]`` for each k of ``ks``,
+    with the chunk's rates from one ``state.lr`` call and its noise from one
+    generator call, on a double-buffered block [A; B; C row] and velocity.
+    Row k of ``c`` and of ``state.vel_c`` is loaded before the step (the
+    velocity's only if gamma != 0) and stored after it. Returns the new
+    (A, B); ``state.vel_a``, ``state.vel_b`` and ``state.step`` are stored
+    once per chunk. A step that raises ``DivergedError`` leaves ``c``, the
+    velocities, the step counter and the generator as the steps before it
+    left them: the generator is set back to the chunk's start and those
+    steps' noise is drawn again."""
     i_n, vel_c = a.shape[0], state.vel_c
-    w = np.concatenate((a, b, c[:1]))
-    vel = np.concatenate((state.vel_a, state.vel_b, vel_c[:1]))
-    for k in ks:
-        w[-1], vel[-1] = c[k], vel_c[k]
-        w, vel = _apply_step(w, vel, window[k], None, state, kind)
-        c[k], vel_c[k] = w[-1], vel[-1]
-        state.vel_a, state.vel_b = vel[:i_n], vel[i_n:-1]
-        state.step += 1
+    shape = (i_n + b.shape[0] + 1, a.shape[1])
+    gamma, beta, sigma = _step_terms(state, kind)
+    etas = state.lr(np.arange(state.step, state.step + len(ks)))
+    start = state.rng.bit_generator.state
+    noise = _draw_noise(state.rng, sigma * etas, shape)
+    w, vel, w_new, vel_new, tmp = np.empty((5, *shape))
+    w[:i_n], w[i_n:-1], vel[:i_n], vel[i_n:-1] = a, b, state.vel_a, state.vel_b
+    for j, (k, eta) in enumerate(zip(ks, etas.tolist())):
+        w[-1] = c[k]
+        if gamma:
+            vel[-1] = vel_c[k]
+        try:
+            _apply_step(w, vel, window[k], None, eta, noise[j], gamma, beta,
+                        (w_new, vel_new, tmp))
+        except DivergedError:
+            state.rng.bit_generator.state = start
+            _draw_noise(state.rng, sigma * etas[:j], shape)
+            state.vel_a, state.vel_b = vel[:i_n], vel[i_n:-1]
+            state.step += j
+            raise
+        c[k], vel_c[k] = w_new[-1], vel_new[-1]
+        w, w_new, vel, vel_new = w_new, w, vel_new, vel
+    state.vel_a, state.vel_b = vel[:i_n], vel[i_n:-1]
+    state.step += len(ks)
     return w[:i_n], w[i_n:-1]
 
 
@@ -328,8 +355,7 @@ def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
     ``rmse_every`` steps and after the last. A pass that diverges keeps the
     points recorded before the step that diverged.
     """
-    if rmse_every < 1:
-        raise ValidationError(f"rmse_every {rmse_every} must be >= 1")
+    check_int(rmse_every, "rmse_every", 1)
     k_n = tensor.dims[2]
     traces = {}
     for kind in kinds:
@@ -372,12 +398,23 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     gram = (f.a.T @ f.a) * (f.b.T @ f.b)
     gram.reshape(-1)[::f.rank + 1] += RIDGE  # the diagonal, as a view
     c_new = np.linalg.solve(gram, (f.a * (slice_ij @ f.b)).sum(axis=0))
+    _check_finite(c_new)
 
     state = d.state
-    w, vel = _apply_step(np.concatenate((f.a, f.b)),
-                         np.concatenate((state.vel_a, state.vel_b)),
-                         slice_ij, c_new, state, d.kind)
+    gamma, beta, sigma = _step_terms(state, d.kind)
+    eta = state.lr(state.step)
+    w = np.concatenate((f.a, f.b))
+    rng_state = state.rng.bit_generator.state
+    noise = state.rng.normal(0.0, sigma * eta, w.shape) if sigma * eta \
+        else None
+    w_new, vel, _ = out = np.empty((3, *w.shape))
+    try:
+        _apply_step(w, np.concatenate((state.vel_a, state.vel_b)), slice_ij,
+                    c_new, eta, noise, gamma, beta, out)
+    except DivergedError:
+        state.rng.bit_generator.state = rng_state
+        raise
     state.vel_a, state.vel_b = vel[:i_n], vel[i_n:]
     state.step += 1
-    d.factors = KruskalFactors.from_checked(w[:i_n], w[i_n:], f.c)
+    d.factors = KruskalFactors.from_checked(w_new[:i_n], w_new[i_n:], f.c)
     return d, c_new

@@ -31,7 +31,7 @@ from driftwatch import (
 )
 from driftwatch.cli import main as cli_main
 from driftwatch.cli import run_benchmark
-from driftwatch.decomp import KruskalFactors, _slice_gradients
+from driftwatch.decomp import KruskalFactors, _apply_step
 
 
 def report(capsys, name, ok, elapsed, detail=""):
@@ -57,6 +57,16 @@ def fd_direction(t, f, mode, eps=1e-6):
     return -0.5 * out
 
 
+def step_direction(slice_ij, a, b, c_row):
+    """The direction the step kernel takes on [A; B; C row] from one slice:
+    with no momentum its new velocity is the direction itself."""
+    w = np.vstack((a, b, c_row))
+    out = np.empty((3, *w.shape))
+    _apply_step(w, np.zeros_like(w), slice_ij, None, 0.0, None, 0.0, 0.0,
+                out)
+    return out[1]
+
+
 class TestA1GradientCorrectness:
     def test_a1(self, capsys):
         started = time.monotonic()
@@ -73,10 +83,12 @@ class TestA1GradientCorrectness:
             t = DenseTensor3(rng.standard_normal(dims))
             # the per-slice directions the optimizers take: summed over the
             # slices for A and B, one C row per slice
-            parts = [_slice_gradients(t.slice_at(k), f.a, f.b, f.c[k], True)
+            parts = [step_direction(t.slice_at(k), f.a, f.b, f.c[k])
                      for k in range(dims[2])]
-            analytic = (sum(p[0] for p in parts), sum(p[1] for p in parts),
-                        np.array([p[2] for p in parts]))
+            i_n, j_n = dims[:2]
+            analytic = (sum(p[:i_n] for p in parts),
+                        sum(p[i_n:i_n + j_n] for p in parts),
+                        np.array([p[-1] for p in parts]))
             for mode in (1, 2, 3):
                 numeric = fd_direction(t, f, mode)
                 scale = max(np.abs(numeric).max(), 1.0)

@@ -406,6 +406,7 @@ BAD_TRAIN_FLAGS = {
     "above_one_train_nu": ("--nu", "1.5"),
     "nan_train_nu": ("--nu", "nan"),
     "too_small_train_nu": ("--nu", "0.01"),  # nu * window = 0.3 < 1
+    "negative_train_rank": ("--rank", "-1"),
 }
 
 # synth settings that generate cannot honour (J = 5, K = 60)
@@ -426,6 +427,7 @@ BAD_BENCH_FLAGS = {
     "nan_bench_perturb_sigma": ("--perturb-sigma", "nan"),
     "nan_bench_l1_beta": ("--l1-beta", "nan"),
     "inf_bench_lr_a": ("--lr-a", "inf"),
+    "negative_bench_rank": ("--rank", "-1"),
 }
 
 

@@ -29,9 +29,11 @@ from driftwatch import (
     window_rmse,
 )
 from driftwatch.decomp import (
+    OVERFLOW_LIMIT,
     RIDGE,
+    SQUARES_BOUND,
     _apply_step,
-    _slice_gradients,
+    _check_finite,
     _step_slices,
     _window_rmse,
     run_benchmark,
@@ -46,17 +48,35 @@ def rmse(t, f):
     return float(np.sqrt(np.mean(resid**2)))
 
 
+def step_terms(state, kind):
+    """The rate, momentum, shrinkage and noise std of the state's next step
+    for ``kind``."""
+    eta = state.lr(state.step)
+    nesgd = kind is OptimizerKind.NESGD
+    gamma = state.friction if nesgd else 0.0
+    beta = state.l1_beta if nesgd else 0.0
+    sigma = 0.0 if kind is OptimizerKind.SGD else state.perturb_sigma * eta
+    return eta, gamma, beta, sigma
+
+
+def kernel_step(w, vel, slice_ij, c_new, state, kind):
+    """One ``_apply_step`` at the state's rate, with its noise drawn by a
+    call of its own as before every step; returns the new block and
+    velocity. The step counter is not advanced."""
+    eta, gamma, beta, sigma = step_terms(state, kind)
+    noise = state.rng.normal(0.0, sigma, w.shape) if sigma else None
+    out = np.empty((3, *w.shape))
+    _apply_step(w, vel, slice_ij, c_new, eta, noise, gamma, beta, out)
+    return out[0], out[1]
+
+
 def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
                    kind):
     """The momentum step taken matrix by matrix: A, B and (unless
     ``vel_c_row`` is None) the C row, each with its own velocity and its own
     noise draw, in that order, and the C-row direction as an einsum."""
     update_c = vel_c_row is not None
-    eta = state.lr(state.step)
-    nesgd = kind is OptimizerKind.NESGD
-    gamma = state.friction if nesgd else 0.0
-    beta = state.l1_beta if nesgd else 0.0
-    sigma = 0.0 if kind is OptimizerKind.SGD else state.perturb_sigma * eta
+    eta, gamma, beta, sigma = step_terms(state, kind)
     look = gamma * eta
     a_la, b_la = a + look * vel_a, b + look * vel_b
     c_la = c_row + look * vel_c_row if update_c else c_row
@@ -78,7 +98,7 @@ def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
 
 
 def sgd_sweep(t, f, state, kind, sample_k):
-    """Reference step: one ``_apply_step`` on the block [A; B; C row]
+    """Reference step: one ``kernel_step`` on the block [A; B; C row]
     driven by frontal slice ``sample_k``, on a fresh copy of C and factors
     validated again."""
     if not 0 <= sample_k < t.dims[2]:
@@ -87,7 +107,7 @@ def sgd_sweep(t, f, state, kind, sample_k):
             or state.vel_c.shape != f.c.shape:
         raise ShapeMismatchError("velocity shapes do not match the factors")
     i_n, j_n = f.a.shape[0], f.b.shape[0]
-    w, vel = _apply_step(
+    w, vel = kernel_step(
         np.vstack((f.a, f.b, f.c[sample_k])),
         np.vstack((state.vel_a, state.vel_b, state.vel_c[sample_k])),
         t.slice_at(sample_k), None, state, kind,
@@ -121,14 +141,25 @@ def fd_direction(t, f, mode, h=1e-6):
     return -0.5 * out
 
 
+def slice_direction(slice_ij, a, b, c_row):
+    """The direction ``_apply_step`` takes on [A; B; C row] from one slice:
+    with no momentum the new velocity is the direction itself."""
+    w = np.vstack((a, b, c_row))
+    out = np.empty((3, *w.shape))
+    _apply_step(w, np.zeros_like(w), slice_ij, None, 0.0, None, 0.0, 0.0,
+                out)
+    return out[1]
+
+
 def slice_directions(t, f):
     """The A, B and C directions of the whole tensor as the optimizers take
-    them: ``_slice_gradients`` summed over the frontal slices for A and B,
+    them: ``slice_direction`` summed over the frontal slices for A and B,
     one C row per slice."""
-    parts = [_slice_gradients(t.slice_at(k), f.a, f.b, f.c[k], True)
+    i_n, j_n = f.a.shape[0], f.b.shape[0]
+    parts = [slice_direction(t.slice_at(k), f.a, f.b, f.c[k])
              for k in range(t.dims[2])]
-    return (sum(p[0] for p in parts), sum(p[1] for p in parts),
-            np.array([p[2] for p in parts]))
+    return (sum(p[:i_n] for p in parts), sum(p[i_n:i_n + j_n] for p in parts),
+            np.array([p[-1] for p in parts]))
 
 
 class TestCpGradient:
@@ -296,11 +327,11 @@ class TestBlockStep:
             a, b, c_row, vel_a, vel_b, vel_c if with_c else None, slice_ij,
             ref, kind)
         if with_c:
-            w, vel = _apply_step(np.vstack((a, b, c_row)),
+            w, vel = kernel_step(np.vstack((a, b, c_row)),
                                  np.vstack((vel_a, vel_b, vel_c)),
                                  slice_ij, None, got, kind)
         else:
-            w, vel = _apply_step(np.vstack((a, b)), np.vstack((vel_a, vel_b)),
+            w, vel = kernel_step(np.vstack((a, b)), np.vstack((vel_a, vel_b)),
                                  slice_ij, c_row, got, kind)
         assert w.shape == vel.shape == (i_n + j_n + with_c, rank)
         for x, y in ((w[:i_n], ra), (w[i_n:i_n + j_n], rb),
@@ -310,6 +341,76 @@ class TestBlockStep:
         if with_c:
             for x, y in ((w[-1], rc), (vel[-1], rvc)):
                 assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
+
+
+class TestChunkStep:
+    """``_step_slices`` over a shuffled chunk of 6 slices, from step 3,
+    against ``reference_step`` called slice by slice."""
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    @pytest.mark.parametrize("l1_beta, perturb_sigma",
+                             [(1e-4, 1e-3), (0.0, 0.0), (0.0, 1e-3),
+                              (1e-4, 0.0)])
+    def test_matches_reference_step(self, kind, friction, l1_beta,
+                                    perturb_sigma):
+        self.check_chunk(kind, friction, LrSchedule(0.05, 1e-3), l1_beta,
+                         perturb_sigma)
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_zero_rate_draws_nothing(self, kind):
+        state = self.check_chunk(kind, 0.9, LrSchedule(0.0, 1e-3), 1e-4, 1e-3)
+        assert state.rng.bit_generator.state == \
+            np.random.default_rng(8).bit_generator.state
+
+    @staticmethod
+    def check_chunk(kind, friction, lr, l1_beta, perturb_sigma):
+        rng = np.random.default_rng(6)
+        i_n, j_n, k_n, rank = 7, 4, 6, 3
+        window = rng.uniform(size=(k_n, i_n, j_n))
+        a, b, c = (rng.uniform(size=(n, rank)) for n in (i_n, j_n, k_n))
+        vels = [rng.standard_normal(m.shape) for m in (a, b, c)]
+        ks = rng.permutation(k_n)
+
+        def state():
+            return NesgdState(*(v.copy() for v in vels), friction=friction,
+                              lr=lr, perturb_sigma=perturb_sigma,
+                              l1_beta=l1_beta, step=3, rng_seed=8)
+
+        ref, got = state(), state()
+        ra, rb, rc = a, b, c.copy()
+        for k in ks:
+            (ra, rb, rc[k]), (ref.vel_a, ref.vel_b, ref.vel_c[k]) = \
+                reference_step(ra, rb, rc[k], ref.vel_a, ref.vel_b,
+                               ref.vel_c[k], window[k], ref, kind)
+            ref.step += 1
+        gc = c.copy()
+        ga, gb = _step_slices(window, a.copy(), b.copy(), gc, got, kind, ks)
+        for x, y in ((ga, ra), (gb, rb), (got.vel_a, ref.vel_a),
+                     (got.vel_b, ref.vel_b)):
+            assert np.array_equal(x, y)
+        for x, y in ((gc, rc), (got.vel_c, ref.vel_c)):
+            assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
+        assert got.step == ref.step == 3 + k_n
+        assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+        return got
+
+
+class TestCheckFinite:
+    def test_entries_at_the_limit_pass_with_squares_above_the_bound(self):
+        m = np.full((5, 2), OVERFLOW_LIMIT)
+        m[::2] *= -1.0
+        assert np.vdot(m, m) > SQUARES_BOUND
+        _check_finite(m)
+
+    @pytest.mark.parametrize("bad", [
+        np.nextafter(OVERFLOW_LIMIT, np.inf),
+        -np.nextafter(OVERFLOW_LIMIT, np.inf), np.nan, np.inf, -np.inf])
+    def test_one_entry_beyond_the_limit_raises(self, bad):
+        m = np.ones((5, 2))
+        m[3, 1] = bad
+        with pytest.raises(DivergedError):
+            _check_finite(m)
 
 
 class TestDivergedStep:
@@ -355,6 +456,32 @@ class TestDivergedStep:
         for got, want in ((a, self.a), (b, self.b), (c, c_before)):
             assert np.array_equal(got, want)
         self.assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    def test_window_fit_chunk_overflowing_at_its_third_step(self, friction):
+        # the third step's slice is the big one and its C row is 0, as above
+        k_n = 4
+        rng = np.random.default_rng(14)
+        window = rng.uniform(size=(k_n, self.I_N, self.J_N))
+        window[2] = self.slice_ij
+        c = rng.uniform(size=(k_n, self.RANK))
+        c[2] = 0.0
+        state = NesgdState.zeros((self.I_N, self.J_N, k_n), self.RANK,
+                                 friction=friction, lr=LrSchedule(0.1, 0.0),
+                                 perturb_sigma=1e-3, rng_seed=3)
+        ks = [3, 0, 2, 1]
+        two, c_two = copy.deepcopy(state), c.copy()
+        _step_slices(window, self.a, self.b, c_two, two, OptimizerKind.NESGD,
+                     ks[:2])
+        assert two.rng.bit_generator.state != state.rng.bit_generator.state
+        with pytest.raises(DivergedError):
+            _step_slices(window, self.a, self.b, c, state,
+                         OptimizerKind.NESGD, ks)
+        for got, want in ((c, c_two), (state.vel_c, two.vel_c),
+                          (state.vel_a, two.vel_a), (state.vel_b, two.vel_b)):
+            assert np.array_equal(got, want)
+        assert state.rng.bit_generator.state == two.rng.bit_generator.state
+        assert state.step == two.step == 2
 
     def test_online_step_overflowing_only_in_c_new(self):
         # the slice is fitted exactly, so A and B barely move while the new
@@ -574,6 +701,20 @@ class TestBenchTrace:
         t = DenseTensor3(RNG.uniform(size=(3, 3, 4)))
         with pytest.raises(ValidationError):
             run_benchmark(t, 2, [OptimizerKind.SGD], StreamOptions(), 0)
+
+    @pytest.mark.parametrize("rmse_every", [2.5, True])
+    def test_rmse_every_that_is_no_int_is_rejected(self, rmse_every):
+        t = DenseTensor3(RNG.uniform(size=(3, 3, 4)))
+        with pytest.raises(ValidationError):
+            run_benchmark(t, 2, [OptimizerKind.SGD], StreamOptions(),
+                          rmse_every)
+
+    def test_negative_rank_is_rejected(self):
+        t = DenseTensor3(RNG.uniform(size=(3, 3, 4)))
+        with pytest.raises(ValidationError, match="rank"):
+            run_benchmark(t, -1, [OptimizerKind.SGD], StreamOptions())
+        with pytest.raises(ValidationError, match="rank"):
+            decompose_stream_init(t, -1, OptimizerKind.SGD)
 
 
 class TestWindowFit:

@@ -4,6 +4,7 @@ of the package and replays the inserts it makes."""
 
 import importlib.util
 import math
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -18,6 +19,10 @@ _spec = importlib.util.spec_from_file_location(
     "same_behaviour", ROOT / "tools" / "same_behaviour.py")
 same_behaviour = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_behaviour)
+_spec = importlib.util.spec_from_file_location(
+    "pipeline", ROOT / "streambench" / "pipeline.py")
+pipeline = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pipeline)
 
 GAMMA = "gamma = k_drive + k_s @ beta[1:] + beta[0]"
 # the same sum re-associated: equal in exact arithmetic, not in floats
@@ -29,6 +34,9 @@ ACCEPT = """    if g_raw >= 0.0:
 REPORT_EVERY_NEGATIVE = ACCEPT + "    return g_raw, Action.REPORT_ANOMALY\n"
 RETURN_VERDICT = ("    return state, Verdict(t_idx, g_raw, p_env, g_adv, "
                   "action)\n")
+# a step's displacement eta*vel, and the same with eta one ulp larger
+STEP = "np.multiply(g, eta, out=w_new)"
+STEP_ONE_ULP_LONGER = "np.multiply(g, np.nextafter(eta, 1.0), out=w_new)"
 # an error that is no DriftwatchError, after the event has changed the state
 RAISE_AT_EVENT_10 = """    if t_idx == 10:
         raise RuntimeError("boom")
@@ -112,8 +120,9 @@ def test_bundles_must_be_byte_identical_while_cli_files_may_round(capsys):
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A set-up directory holding one run, "small": the bundle of A6's
-    train command for both sides, and its input tensor and window length
-    as the parent's set-up saves them. Its stream makes 5 inserts."""
+    train command for both sides, and its input tensor, window length and
+    the window-fit settings as the parent's set-up saves them for seed 1.
+    Its stream makes 5 inserts."""
     work = tmp_path_factory.mktemp("work")
     tmp = tmp_path_factory.mktemp("cli")
     for argv in same_behaviour.CLI_COMMANDS[0], same_behaviour.CLI_COMMANDS[2]:
@@ -123,7 +132,8 @@ def small_run(tmp_path_factory):
         (work / side).mkdir()
         shutil.copyfile(tmp / "b.json", work / side / "small.json")
     np.savez(work / "parent" / "small.npz",
-             data=load_tensor_csv(str(tmp / "t.csv")).data, window=30)
+             data=load_tensor_csv(str(tmp / "t.csv")).data, window=30,
+             **{key: getattr(pipeline, key) for key in same_behaviour.FIT})
     return work
 
 
@@ -143,6 +153,16 @@ def test_replay_through_two_copies_is_identical(small_run, capsys):
             f"{verdicts}, bit-identical {verdicts}; max|dg_raw| 0.0e+00  "
             f"max|dmodel| 0.0e+00  inserts 5  ") in out
     assert "inserts 5, identical 5, differ 0" in out
+    assert "small                  fit match; CPU ms parent " in out
+
+
+def test_replay_flags_a_window_fit_that_moves_by_one_ulp(small_run, capsys,
+                                                          tmp_path):
+    change = change_copy(tmp_path, "decomp.py", STEP, STEP_ONE_ULP_LONGER)
+    runs, _, out = replay(change, small_run, capsys)
+    assert runs == 1
+    assert "small                  fit MISMATCH; CPU ms parent " in out
+    assert re.search(r"small +MISMATCH \S*fit ", out)
 
 
 def test_replay_names_the_inserts_a_one_ulp_change_moves(small_run, capsys,

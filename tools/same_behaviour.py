@@ -4,48 +4,42 @@ Usage, from anywhere:
 
     python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
 
-Each checkout runs in subprocesses, with one BLAS thread, that import
-its own ``src/`` and ``streambench/``. There are three legs.
+Each checkout runs in subprocesses, with one BLAS thread, that import its
+own ``src/`` and ``streambench/``. There are three legs.
 
-1. CLI. Each checkout runs the commands of acceptance test A6, plus one
-   ``stream`` each under ``--policy threshold`` and ``--policy none``, in
-   an empty directory of its own. One line is printed per output file,
-   the standard output of ``eval`` included. Files match when the text
-   between their numbers (hex floats included) is equal and no number
-   differs by more than ``G_RAW_TOL``; a file that does not prints its
-   largest numeric difference and, for JSON, the paths that differ.
+1. CLI. Each checkout runs A6's commands and a ``stream`` each under
+   ``--policy threshold`` and ``--policy none`` in an empty directory.
+   One line is printed per output file, ``eval``'s stdout included. Files
+   match when the text between their numbers is equal and no number (hex
+   floats included) differs by more than ``G_RAW_TOL``; one that does not
+   prints its largest difference and, for JSON, the paths that differ.
 
 2. Set-up. One subprocess per checkout runs ``pipeline.setup`` for every
-   workload of ``streambench/workloads.py`` and seeds 1-3, nine runs, and
-   keeps each set-up bundle; the parent's also saves each input tensor.
-   One line is printed per bundle. The bundles must be byte-identical; a
-   bundle that is not prints the JSON paths that differ.
+   workload of ``streambench/workloads.py`` and seeds 1-3. The nine
+   bundles must be byte-identical; one line is printed per bundle, and
+   one that differs prints its JSON paths that do. The parent's also
+   saves each input tensor and, for seed 1, the window-fit settings.
 
 3. Replay. A last subprocess, in which neither checkout is importable as
-   ``driftwatch``, copies each ``src/driftwatch`` under a name of its own
-   (``dw_parent``, ``dw_change``; the package imports itself only
-   relatively). For every run it loads each side from the bundle its own
-   checkout wrote and steps the two ``PipelineState``s through the
-   parent's input together, ``ROUNDS`` passes, timing every
-   ``process_event`` with the side that goes first alternating from event
-   to event. Each event must give the same action on both sides, no
-   exception on either and |delta g_raw| at most ``G_RAW_TOL``; verdicts
-   that are bit-identical (every field with its type, by ``exact``) are
-   counted. After the first pass both sides must have the same
-   ``(case_id, index)`` sequence of insert migrations (per-case counts are
-   printed when it differs) and number of batch-retrain fallbacks, and
-   final models of the same training size n, with |delta alpha| and
-   |delta rho| at most ``G_RAW_TOL``, that each pass ``kkt_partition`` and
-   match a batch retrain within A3's 1e-5. One line per run gives these
-   and the median and quartiles over the passes of the pass-time ratio
-   change/parent. Last, every ``add_sample`` call of the parent's first
-   passes, kept in memory, is replayed through both packages: the new
-   training rows and dual coefficients must be identical byte for byte,
-   rho bit for bit, the migration events field by field with the types of
-   their numbers, or the same error with the same message. Each insert is
-   timed ``ROUNDS`` times per side, interleaved, the side that goes first
-   alternating, so a slow spell of the host lands on both sides; the
-   median and quartiles of the per-insert ratio change/parent are printed.
+   ``driftwatch``, imports a copy of each ``src/driftwatch`` as
+   ``dw_parent`` and ``dw_change``. Every timing interleaves the sides,
+   the side that goes first alternating, and prints the median and
+   quartiles of the ratio change/parent.
+   - Each seed-1 window is fitted as ``pipeline.setup`` fits it,
+     ``FIT_ROUNDS`` times, timed in process CPU time: factors,
+     velocities, step counter and generator state must be byte-identical.
+   - Each run's two ``PipelineState``s, loaded from the bundles, step
+     through the parent's input, ``ROUNDS`` passes. Each event must give
+     the same action, no exception and |delta g_raw| <= ``G_RAW_TOL``;
+     bit-identical verdicts (each field and its type) are counted. After
+     the first pass the sides must have the same ``(case_id, index)``
+     insert migrations and retrain fallbacks, and final models of one
+     size, within ``G_RAW_TOL``, that pass ``kkt_partition`` and match a
+     batch retrain within A3's 1e-5.
+   - The parent's ``add_sample`` calls of the first passes are replayed,
+     ``ROUNDS`` times: new rows and dual coefficients must be identical
+     byte for byte, rho bit for bit, migration events field by field with
+     the types of their numbers, or the error and its message the same.
 
 The exit status is 1 on any mismatch, 2 with one ``error:`` line when a
 checkout cannot be run, 0 otherwise. Nothing under ``streambench/``
@@ -72,6 +66,9 @@ G_RAW_TOL = 1e-12
 A3_TOL = 1e-5  # final model vs batch retrain, as in acceptance test A3
 CHILD_TIMEOUT_S = 1800
 ROUNDS = 7
+FIT_ROUNDS = 3
+# pipeline.setup's window-fit settings, those of acceptance test A4
+FIT = ("RANK", "EPOCHS", "SEED", "FRICTION", "LR_B")
 SIDES = ("parent", "change")
 # as streambench/run.py: one BLAS thread, set before numpy is imported
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -242,9 +239,10 @@ def setup(checkout, out, *save_inputs):
         for seed in SEEDS:
             runs.append(f"{workload}_seed{seed}")
             data, _ = workloads.generate(spec, seed)
-            if save_inputs:
+            if save_inputs:  # a seed-1 run's also keeps the fit settings
+                fit = {key: getattr(pipeline, key) for key in FIT}
                 np.savez(Path(out) / f"{runs[-1]}.npz", data=data,
-                         window=spec.window)
+                         window=spec.window, **fit if seed == SEEDS[0] else {})
             pipeline.setup([data[:, :, k].copy() for k in range(spec.window)],
                            str(Path(out) / f"{runs[-1]}.json"))
     print(json.dumps(runs))
@@ -321,6 +319,31 @@ def ratio_text(times):
     return f"median {q2:.3f} (quartiles {q1:.3f} / {q3:.3f})"
 
 
+def fit_window(pkgs, window, fit, name):
+    """Fits ``window`` through both packages as ``pipeline.setup`` does,
+    with its ``fit`` settings, ``FIT_ROUNDS`` times; prints the run's fit
+    line and returns whether the fits differ."""
+    fits, times = [None, None], []
+    for r in range(FIT_ROUNDS):
+        times.append([0, 0])
+        for side in (0, 1) if r % 2 == 0 else (1, 0):
+            dc, t0 = pkgs[side].decomp, time.process_time_ns()
+            d = dc.decompose_stream_init(
+                pkgs[side].DenseTensor3(window), fit["RANK"],
+                dc.OptimizerKind.NESGD, dc.StreamOptions(
+                    fit["EPOCHS"], seed=fit["SEED"], friction=fit["FRICTION"],
+                    lr=dc.LrSchedule.for_slices(window.shape, fit["LR_B"])))
+            times[-1][side] = time.process_time_ns() - t0
+            fits[side] = [m.tobytes() for m in (*vars(d.factors).values(),
+                          d.state.vel_a, d.state.vel_b, d.state.vel_c)] + [
+                d.state.step, d.state.rng.bit_generator.state]
+    mid = np.median(times, axis=0) / 1e6
+    print(f"{name:22s} fit {'match' if fits[0] == fits[1] else 'MISMATCH'}; "
+          f"CPU ms parent {mid[0]:.0f}, change {mid[1]:.0f}; "
+          f"ratio change/parent {ratio_text(times)}")
+    return fits[0] != fits[1]
+
+
 def step_run(pkgs, work, name):
     """Steps both packages' pipelines through run ``name`` ``ROUNDS``
     times, each side from the bundle its own checkout wrote; prints the
@@ -328,6 +351,7 @@ def step_run(pkgs, work, name):
     ``(model, x_c)`` insert calls of the first pass."""
     with np.load(work / "parent" / f"{name}.npz") as npz:
         data, w = npz["data"], int(npz["window"])
+        fit = {key: npz[key].item() for key in FIT if key in npz}
     slices = [data[:, :, k].copy() for k in range(data.shape[2])]
     add_sample, inserts = pkgs[0].advisor.add_sample, []
 
@@ -335,9 +359,7 @@ def step_run(pkgs, work, name):
         inserts.append((model, np.array(x_c)))
         return add_sample(model, x_c)
 
-    counts = dict.fromkeys(("actions", "errors", "g_raw", "migrations",
-                            "retrain_fallbacks", "final_model",
-                            "final_model_check"), 0)
+    counts = Counter()  # mismatches by kind, in the order first counted
     same, dg, passes = 0, 0.0, []
     pkgs[0].advisor.add_sample = recording  # _incorporate looks it up per call
     for r in range(ROUNDS):
@@ -377,6 +399,7 @@ def step_run(pkgs, work, name):
             counts["final_model"] += not dm <= G_RAW_TOL
             counts["final_model_check"] += not (checks[0][0]
                                                 and checks[1][0])
+    counts["fit"] = bool(fit) and fit_window(pkgs, data[:, :, :w], fit, name)
     bad = [key for key, n in counts.items() if n]
     mid = np.median(passes, axis=0) / 1e6
     print(f"{name:22s} {'MISMATCH ' + ','.join(bad) if bad else 'match':24s}"
@@ -419,17 +442,15 @@ def replay_inserts(pkgs, inserts):
     if medians:
         mid = np.median(medians, axis=0)
         print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
-              f"differ {differ}")
-        print(f"per-insert median ms: parent {mid[0]:.3f}, change "
-              f"{mid[1]:.3f} ({ROUNDS} interleaved rounds per insert)")
-        print(f"per-insert ratio change/parent: {ratio_text(medians)}")
+              f"differ {differ}; per-insert ms parent {mid[0]:.3f}, change "
+              f"{mid[1]:.3f}; ratio change/parent {ratio_text(medians)}")
     return differ
 
 
 def replay(parent_dir, change_dir, work, *runs):
-    """Runs in the subprocess: steps ``runs`` through both checkouts and
-    replays the parent's inserts; prints a line per run, the inserts'
-    summary and, last, the numbers of runs and of inserts that differ."""
+    """Runs in the subprocess: fits, steps and replays ``runs`` through
+    both checkouts; prints a line per fit and per run, the inserts' summary
+    and, last, the numbers of runs (fits included) and inserts that differ."""
     bad, inserts = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in zip(SIDES, (parent_dir, change_dir)):
@@ -447,9 +468,8 @@ def replay(parent_dir, change_dir, work, *runs):
 
 
 def compare_replay(parent_dir, change_dir, work, runs):
-    """Steps ``runs``, set up under ``work``, through both checkouts in the
-    replay subprocess; returns the numbers of runs and of inserts that
-    differ."""
+    """Replays ``runs``, set up under ``work``, in the replay subprocess;
+    returns the numbers of runs and of inserts that differ."""
     return run_child("the replay", child_env(None), "--replay",
                      str(parent_dir), str(change_dir), str(work), *runs)
 
