@@ -59,8 +59,8 @@ def labels_path(tensor_path):
 
 def write_json(path, what, payload):
     with writing(path, what) as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        # dumps, unlike dump, runs the C encoder
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_json(path, what):

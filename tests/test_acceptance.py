@@ -17,6 +17,7 @@ from driftwatch import (
     DenseTensor3,
     KernelSpec,
     LrSchedule,
+    NesgdState,
     OptimizerKind,
     PipelineState,
     StreamOptions,
@@ -31,7 +32,7 @@ from driftwatch import (
 )
 from driftwatch.cli import main as cli_main
 from driftwatch.cli import run_benchmark
-from driftwatch.decomp import KruskalFactors, _apply_step
+from driftwatch.decomp import KruskalFactors, _step_slices
 
 
 def report(capsys, name, ok, elapsed, detail=""):
@@ -58,13 +59,14 @@ def fd_direction(t, f, mode, eps=1e-6):
 
 
 def step_direction(slice_ij, a, b, c_row):
-    """The direction the step kernel takes on [A; B; C row] from one slice:
-    with no momentum its new velocity is the direction itself."""
-    w = np.vstack((a, b, c_row))
-    out = np.empty((3, *w.shape))
-    _apply_step(w, np.zeros_like(w), slice_ij, None, 0.0, None, 0.0, 0.0,
-                out)
-    return out[1]
+    """The direction a window-fit step takes on [A; B; C row] from one
+    slice: at rate 0 with no momentum its new velocities are the direction
+    itself."""
+    state = NesgdState.zeros((*slice_ij.shape, 1), len(c_row),
+                             lr=LrSchedule(0.0, 0.0))
+    _step_slices(slice_ij[None], a, b, c_row[None].copy(), state,
+                 OptimizerKind.SGD, [0])
+    return np.vstack((state.vel_a, state.vel_b, state.vel_c))
 
 
 class TestA1GradientCorrectness:

@@ -2,6 +2,8 @@
 for the per-mode descent direction."""
 
 import copy
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,12 +30,15 @@ from driftwatch import (
     update_online,
     window_rmse,
 )
+from driftwatch import decomp
 from driftwatch.decomp import (
     OVERFLOW_LIMIT,
     RIDGE,
     SQUARES_BOUND,
+    SUBCHUNK_BYTES,
     _apply_step,
     _check_finite,
+    _step_out,
     _step_slices,
     _window_rmse,
     run_benchmark,
@@ -59,15 +64,17 @@ def step_terms(state, kind):
     return eta, gamma, beta, sigma
 
 
-def kernel_step(w, vel, slice_ij, c_new, state, kind):
-    """One ``_apply_step`` at the state's rate, with its noise drawn by a
-    call of its own as before every step; returns the new block and
-    velocity. The step counter is not advanced."""
+def kernel_step(w, vel, slice_ij, c_row, state, kind):
+    """One ``_apply_step`` on [A; B] at the state's rate, with its noise
+    drawn by a call of its own as before every step; returns the new block
+    and velocity. The step counter is not advanced."""
     eta, gamma, beta, sigma = step_terms(state, kind)
     noise = state.rng.normal(0.0, sigma, w.shape) if sigma else None
-    out = np.empty((3, *w.shape))
-    _apply_step(w, vel, slice_ij, c_new, eta, noise, gamma, beta, out)
-    return out[0], out[1]
+    w_new, vel_new, probe, abc, tmp = np.empty((5, *w.shape))
+    _apply_step(w, vel, slice_ij, c_row, eta, noise, gamma, beta,
+                _step_out(len(slice_ij), w_new, vel_new, probe,
+                          np.empty_like(slice_ij), abc, tmp))
+    return w_new, vel_new
 
 
 def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
@@ -98,26 +105,17 @@ def reference_step(a, b, c_row, vel_a, vel_b, vel_c_row, slice_ij, state,
 
 
 def sgd_sweep(t, f, state, kind, sample_k):
-    """Reference step: one ``kernel_step`` on the block [A; B; C row]
-    driven by frontal slice ``sample_k``, on a fresh copy of C and factors
-    validated again."""
+    """Reference step: a chunk of one window-fit step driven by frontal
+    slice ``sample_k``, on a fresh copy of C and factors validated again."""
     if not 0 <= sample_k < t.dims[2]:
         raise ValidationError(f"sample_k {sample_k} out of range")
     if state.vel_a.shape != f.a.shape or state.vel_b.shape != f.b.shape \
             or state.vel_c.shape != f.c.shape:
         raise ShapeMismatchError("velocity shapes do not match the factors")
-    i_n, j_n = f.a.shape[0], f.b.shape[0]
-    w, vel = kernel_step(
-        np.vstack((f.a, f.b, f.c[sample_k])),
-        np.vstack((state.vel_a, state.vel_b, state.vel_c[sample_k])),
-        t.slice_at(sample_k), None, state, kind,
-    )
     c = f.c.copy()
-    c[sample_k] = w[-1]
-    state.vel_a, state.vel_b = vel[:i_n], vel[i_n:i_n + j_n]
-    state.vel_c[sample_k] = vel[-1]
-    state.step += 1
-    return KruskalFactors(w[:i_n], w[i_n:i_n + j_n], c), state
+    a, b = _step_slices(np.moveaxis(t.data, 2, 0), f.a, f.b, c, state, kind,
+                        [sample_k])
+    return KruskalFactors(a, b, c), state
 
 
 def fd_direction(t, f, mode, h=1e-6):
@@ -142,13 +140,14 @@ def fd_direction(t, f, mode, h=1e-6):
 
 
 def slice_direction(slice_ij, a, b, c_row):
-    """The direction ``_apply_step`` takes on [A; B; C row] from one slice:
-    with no momentum the new velocity is the direction itself."""
-    w = np.vstack((a, b, c_row))
-    out = np.empty((3, *w.shape))
-    _apply_step(w, np.zeros_like(w), slice_ij, None, 0.0, None, 0.0, 0.0,
-                out)
-    return out[1]
+    """The direction a window-fit step takes on [A; B; C row] from one
+    slice: at rate 0 with no momentum the new velocities are the direction
+    itself."""
+    state = NesgdState.zeros((*slice_ij.shape, 1), len(c_row),
+                             lr=LrSchedule(0.0, 0.0))
+    _step_slices(slice_ij[None], a, b, c_row[None].copy(), state,
+                 OptimizerKind.SGD, [0])
+    return np.vstack((state.vel_a, state.vel_b, state.vel_c))
 
 
 def slice_directions(t, f):
@@ -287,7 +286,8 @@ class TestSgdSweep:
 
 
 class TestBlockStep:
-    """``_apply_step`` on the stacked block against ``reference_step``."""
+    """``_apply_step`` on [A; B] and, with the C row, a chunk of one
+    window-fit step against ``reference_step``."""
 
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     @pytest.mark.parametrize("friction", [0.0, 0.9])
@@ -327,9 +327,11 @@ class TestBlockStep:
             a, b, c_row, vel_a, vel_b, vel_c if with_c else None, slice_ij,
             ref, kind)
         if with_c:
-            w, vel = kernel_step(np.vstack((a, b, c_row)),
-                                 np.vstack((vel_a, vel_b, vel_c)),
-                                 slice_ij, None, got, kind)
+            c = c_row[None].copy()
+            got.vel_a, got.vel_b, got.vel_c = vel_a, vel_b, vel_c[None].copy()
+            w = np.vstack((*_step_slices(slice_ij[None], a, b, c, got, kind,
+                                         [0]), c))
+            vel = np.vstack((got.vel_a, got.vel_b, got.vel_c))
         else:
             w, vel = kernel_step(np.vstack((a, b)), np.vstack((vel_a, vel_b)),
                                  slice_ij, c_row, got, kind)
@@ -343,8 +345,23 @@ class TestBlockStep:
                 assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
 
 
+@dataclass(frozen=True)
+class RateZeroAt(LrSchedule):
+    """The schedule (a, b) with a rate of exactly 0 at step ``zero``."""
+
+    zero: int = 0
+
+    def __call__(self, t):
+        return np.where(np.equal(t, self.zero), 0.0, super().__call__(t))
+
+
+def slice_bytes(i_n, j_n, n):
+    """SUBCHUNK_BYTES that fit the residuals of ``n`` I x J slices."""
+    return 8 * i_n * j_n * n
+
+
 class TestChunkStep:
-    """``_step_slices`` over a shuffled chunk of 6 slices, from step 3,
+    """``_step_slices`` over a shuffled chunk of slices, from step 3,
     against ``reference_step`` called slice by slice."""
 
     @pytest.mark.parametrize("kind", list(OptimizerKind))
@@ -359,14 +376,38 @@ class TestChunkStep:
 
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_zero_rate_draws_nothing(self, kind):
-        state = self.check_chunk(kind, 0.9, LrSchedule(0.0, 1e-3), 1e-4, 1e-3)
+        state, _ = self.check_chunk(kind, 0.9, LrSchedule(0.0, 1e-3), 1e-4,
+                                    1e-3)
         assert state.rng.bit_generator.state == \
             np.random.default_rng(8).bit_generator.state
 
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    def test_chunk_of_three_sub_chunks_with_a_zero_rate_step(
+            self, kind, friction, monkeypatch):
+        # 8 steps in sub-chunks of 3, 3 and 2; the step at 3 + 4 has rate 0,
+        # so with friction it looks ahead from its own block
+        monkeypatch.setattr(decomp, "SUBCHUNK_BYTES", slice_bytes(7, 4, 3))
+        self.check_chunk(kind, friction, RateZeroAt(0.05, 1e-3, 7), 1e-4,
+                         1e-3, k_n=8)
+
+    def test_wide_window_keeps_its_residuals_within_the_budget(self):
+        # 22 residuals of 120 x 48 fill the budget, so 60 steps take
+        # sub-chunks of 22, 22 and 16: the chunk's other buffers and noise
+        # take about 0.6 MB, while 60 residuals alone would take 2.8 MB
+        assert slice_bytes(120, 48, 22) <= SUBCHUNK_BYTES \
+            < slice_bytes(120, 48, 23)
+        _, peak = self.check_chunk(OptimizerKind.NESGD, 0.9,
+                                   LrSchedule(0.05, 1e-3), 1e-4, 1e-3,
+                                   i_n=120, j_n=48, k_n=60, rank=2)
+        assert peak < 2 * SUBCHUNK_BYTES
+
     @staticmethod
-    def check_chunk(kind, friction, lr, l1_beta, perturb_sigma):
+    def check_chunk(kind, friction, lr, l1_beta, perturb_sigma, i_n=7, j_n=4,
+                    k_n=6, rank=3):
+        """The state after the chunk and the peak of the memory that
+        numpy and Python allocated while the chunk ran."""
         rng = np.random.default_rng(6)
-        i_n, j_n, k_n, rank = 7, 4, 6, 3
         window = rng.uniform(size=(k_n, i_n, j_n))
         a, b, c = (rng.uniform(size=(n, rank)) for n in (i_n, j_n, k_n))
         vels = [rng.standard_normal(m.shape) for m in (a, b, c)]
@@ -384,8 +425,13 @@ class TestChunkStep:
                 reference_step(ra, rb, rc[k], ref.vel_a, ref.vel_b,
                                ref.vel_c[k], window[k], ref, kind)
             ref.step += 1
-        gc = c.copy()
-        ga, gb = _step_slices(window, a.copy(), b.copy(), gc, got, kind, ks)
+        gc, ga, gb = c.copy(), a.copy(), b.copy()
+        tracemalloc.start()
+        try:
+            ga, gb = _step_slices(window, ga, gb, gc, got, kind, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         for x, y in ((ga, ra), (gb, rb), (got.vel_a, ref.vel_a),
                      (got.vel_b, ref.vel_b)):
             assert np.array_equal(x, y)
@@ -393,7 +439,7 @@ class TestChunkStep:
             assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
         assert got.step == ref.step == 3 + k_n
         assert got.rng.bit_generator.state == ref.rng.bit_generator.state
-        return got
+        return got, peak
 
 
 class TestCheckFinite:
@@ -460,28 +506,57 @@ class TestDivergedStep:
     @pytest.mark.parametrize("friction", [0.0, 0.9])
     def test_window_fit_chunk_overflowing_at_its_third_step(self, friction):
         # the third step's slice is the big one and its C row is 0, as above
-        k_n = 4
+        self.check_chunk_fails_at(friction, 4, [3, 0, 2, 1], c_row_at=2)
+
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    def test_window_fit_c_row_overflow_before_a_block_overflow(self,
+                                                               friction):
+        # the C rows are taken after the sub-chunk's [A; B] steps, yet the
+        # third step's C row fails before the fifth step's A and B
+        self.check_chunk_fails_at(friction, 5, [4, 1, 3, 0, 2], c_row_at=2,
+                                  block_at=4)
+
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    @pytest.mark.parametrize("half", ["c_row_at", "block_at"])
+    def test_window_fit_overflow_at_the_second_sub_chunks_first_step(
+            self, friction, half, monkeypatch):
+        monkeypatch.setattr(decomp, "SUBCHUNK_BYTES",
+                            slice_bytes(self.I_N, self.J_N, 3))
+        self.check_chunk_fails_at(friction, 5, [2, 4, 0, 1, 3], **{half: 3})
+
+    def check_chunk_fails_at(self, friction, k_n, ks, c_row_at=None,
+                             block_at=None):
+        """A chunk over slices ``ks`` of a window of ``k_n``: at step
+        ``c_row_at`` the slice is the big one and the C row 0, so only the
+        row overflows, and at step ``block_at`` the slice is 1e17 times the
+        big one, so A and B overflow. It must leave the state as the steps
+        before the first of them left it."""
         rng = np.random.default_rng(14)
         window = rng.uniform(size=(k_n, self.I_N, self.J_N))
-        window[2] = self.slice_ij
         c = rng.uniform(size=(k_n, self.RANK))
-        c[2] = 0.0
+        if c_row_at is not None:
+            window[ks[c_row_at]], c[ks[c_row_at]] = self.slice_ij, 0.0
+        if block_at is not None:
+            window[ks[block_at]] = self.slice_ij * 1e17
         state = NesgdState.zeros((self.I_N, self.J_N, k_n), self.RANK,
                                  friction=friction, lr=LrSchedule(0.1, 0.0),
                                  perturb_sigma=1e-3, rng_seed=3)
-        ks = [3, 0, 2, 1]
-        two, c_two = copy.deepcopy(state), c.copy()
-        _step_slices(window, self.a, self.b, c_two, two, OptimizerKind.NESGD,
-                     ks[:2])
-        assert two.rng.bit_generator.state != state.rng.bit_generator.state
+        fail = min(j for j in (c_row_at, block_at) if j is not None)
+        before, c_before = copy.deepcopy(state), c.copy()
+        _step_slices(window, self.a, self.b, c_before, before,
+                     OptimizerKind.NESGD, ks[:fail])
+        assert before.rng.bit_generator.state != \
+            state.rng.bit_generator.state
         with pytest.raises(DivergedError):
             _step_slices(window, self.a, self.b, c, state,
                          OptimizerKind.NESGD, ks)
-        for got, want in ((c, c_two), (state.vel_c, two.vel_c),
-                          (state.vel_a, two.vel_a), (state.vel_b, two.vel_b)):
+        for got, want in ((c, c_before), (state.vel_c, before.vel_c),
+                          (state.vel_a, before.vel_a),
+                          (state.vel_b, before.vel_b)):
             assert np.array_equal(got, want)
-        assert state.rng.bit_generator.state == two.rng.bit_generator.state
-        assert state.step == two.step == 2
+        assert state.rng.bit_generator.state == \
+            before.rng.bit_generator.state
+        assert state.step == before.step == fail
 
     def test_online_step_overflowing_only_in_c_new(self):
         # the slice is fitted exactly, so A and B barely move while the new

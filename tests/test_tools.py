@@ -3,6 +3,7 @@ error line, and its replay, which steps a saved stream through two copies
 of the package and replays the inserts it makes."""
 
 import importlib.util
+import json
 import math
 import re
 import shutil
@@ -140,8 +141,8 @@ def small_run(tmp_path_factory):
 def replay(change, work, capsys):
     """The small run replayed through this checkout and ``change``: the
     numbers of runs and of inserts that differ, and the printed lines."""
-    runs, inserts = same_behaviour.compare_replay(ROOT, change, work,
-                                                  ["small"])
+    runs, inserts, _ = same_behaviour.compare_replay(ROOT, change, work,
+                                                     ["small"])
     return runs, inserts, capsys.readouterr().out
 
 
@@ -154,6 +155,33 @@ def test_replay_through_two_copies_is_identical(small_run, capsys):
             f"max|dmodel| 0.0e+00  inserts 5  ") in out
     assert "inserts 5, identical 5, differ 0" in out
     assert "small                  fit match; CPU ms parent " in out
+
+
+def test_bench_record_keeps_finite_ratios_of_every_leg(small_run, capsys,
+                                                        tmp_path):
+    *_, record = same_behaviour.compare_replay(ROOT, ROOT, small_run,
+                                               ["small"])
+    capsys.readouterr()
+    path = tmp_path / "BENCH.json"
+    for _ in range(2):
+        same_behaviour.append_record(path, record)
+    records = json.loads(path.read_text())
+    assert records == [record, record]
+    pairs = {"fit": same_behaviour.FIT_ROUNDS,
+             "events": same_behaviour.ROUNDS, "inserts": 5}
+    for leg, n in pairs.items():
+        (ratio,) = records[0][leg].values()
+        assert ratio["pairs"] == n
+        assert all(math.isfinite(ratio[q]) and ratio[q] > 0
+                   for q in ("q1", "median", "q3"))
+        assert ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert records[0]["events"]["small"]["bit_identical"] == \
+        30 * same_behaviour.ROUNDS
+
+
+def test_commit_names_a_git_checkout_only(tmp_path):
+    assert same_behaviour.commit(ROOT)
+    assert same_behaviour.commit(tmp_path) is None
 
 
 def test_replay_flags_a_window_fit_that_moves_by_one_ulp(small_run, capsys,

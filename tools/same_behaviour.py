@@ -1,49 +1,40 @@
 """Check that two checkouts of driftwatch behave the same.
 
-Usage, from anywhere:
-
-    python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR
+Usage: python3 tools/same_behaviour.py PARENT_DIR CHANGE_DIR [--bench PATH]
 
 Each checkout runs in subprocesses, with one BLAS thread, that import its
 own ``src/`` and ``streambench/``. There are three legs.
 
-1. CLI. Each checkout runs A6's commands and a ``stream`` each under
-   ``--policy threshold`` and ``--policy none`` in an empty directory.
-   One line is printed per output file, ``eval``'s stdout included. Files
-   match when the text between their numbers is equal and no number (hex
-   floats included) differs by more than ``G_RAW_TOL``; one that does not
-   prints its largest difference and, for JSON, the paths that differ.
-
-2. Set-up. One subprocess per checkout runs ``pipeline.setup`` for every
-   workload of ``streambench/workloads.py`` and seeds 1-3. The nine
-   bundles must be byte-identical; one line is printed per bundle, and
-   one that differs prints its JSON paths that do. The parent's also
-   saves each input tensor and, for seed 1, the window-fit settings.
-
-3. Replay. A last subprocess, in which neither checkout is importable as
-   ``driftwatch``, imports a copy of each ``src/driftwatch`` as
-   ``dw_parent`` and ``dw_change``. Every timing interleaves the sides,
-   the side that goes first alternating, and prints the median and
-   quartiles of the ratio change/parent.
+1. CLI. Each checkout runs A6's commands and a ``stream`` under each
+   other ``--policy`` in an empty directory, one line per output file
+   (``eval``'s stdout too). Files match when only their numbers (hex
+   floats too) differ, by at most ``G_RAW_TOL``; else the largest
+   difference and, for JSON, the paths that differ are printed.
+2. Set-up. ``pipeline.setup`` runs for every workload and seeds 1-3, one
+   subprocess per checkout. The nine bundles must be byte-identical. The
+   parent's also saves each input and, for seed 1, the fit settings.
+3. Replay. A last subprocess imports a copy of each ``src/driftwatch``
+   as ``dw_parent`` and ``dw_change``. Every timing interleaves the
+   sides, alternating the side that goes first, and prints the median
+   and quartiles of the ratio change/parent.
    - Each seed-1 window is fitted as ``pipeline.setup`` fits it,
-     ``FIT_ROUNDS`` times, timed in process CPU time: factors,
-     velocities, step counter and generator state must be byte-identical.
+     ``FIT_ROUNDS`` times in process CPU time: factors, velocities, step
+     counter and generator state must be byte-identical.
    - Each run's two ``PipelineState``s, loaded from the bundles, step
-     through the parent's input, ``ROUNDS`` passes. Each event must give
+     through the parent's input ``ROUNDS`` times. Each event must give
      the same action, no exception and |delta g_raw| <= ``G_RAW_TOL``;
-     bit-identical verdicts (each field and its type) are counted. After
-     the first pass the sides must have the same ``(case_id, index)``
-     insert migrations and retrain fallbacks, and final models of one
-     size, within ``G_RAW_TOL``, that pass ``kkt_partition`` and match a
-     batch retrain within A3's 1e-5.
-   - The parent's ``add_sample`` calls of the first passes are replayed,
-     ``ROUNDS`` times: new rows and dual coefficients must be identical
-     byte for byte, rho bit for bit, migration events field by field with
-     the types of their numbers, or the error and its message the same.
+     bit-identical verdicts are counted. After the first pass the insert
+     migrations, retrain fallbacks and final models (within ``G_RAW_TOL``,
+     passing ``kkt_partition`` and A3's batch check) must agree.
+   - The parent's ``add_sample`` calls are replayed ``ROUNDS`` times: new
+     rows, dual coefficients, rho and migration events must be identical
+     bit for bit, or the error and its message the same.
 
-The exit status is 1 on any mismatch, 2 with one ``error:`` line when a
-checkout cannot be run, 0 otherwise. Nothing under ``streambench/``
-changes.
+``--bench PATH`` appends the run's record to the JSON list in PATH: each
+ratio's median, quartiles and pairs, the counts of bit-identical verdicts
+and of what differs, each side's commit and the host. The exit status is
+1 on any mismatch, 2 with one ``error:`` line when a checkout cannot be
+run, 0 otherwise.
 """
 
 import importlib
@@ -66,7 +57,7 @@ G_RAW_TOL = 1e-12
 A3_TOL = 1e-5  # final model vs batch retrain, as in acceptance test A3
 CHILD_TIMEOUT_S = 1800
 ROUNDS = 7
-FIT_ROUNDS = 3
+FIT_ROUNDS = 5
 # pipeline.setup's window-fit settings, those of acceptance test A4
 FIT = ("RANK", "EPOCHS", "SEED", "FRICTION", "LR_B")
 SIDES = ("parent", "change")
@@ -108,10 +99,8 @@ def json_leaves(value, path=""):
     """{dotted path: JSON text} for every non-object leaf."""
     if not isinstance(value, dict):
         return {path: json.dumps(value, sort_keys=True)}
-    leaves = {}
-    for key, item in value.items():
-        leaves.update(json_leaves(item, f"{path}.{key}" if path else key))
-    return leaves
+    return {leaf: text for key, item in value.items() for leaf, text in
+            json_leaves(item, f"{path}.{key}" if path else key).items()}
 
 
 def leaf_diff(what, old, new):
@@ -158,8 +147,7 @@ def run_child(what, env, *args):
     line, a JSON value, which it returns."""
     *lines, last = run([sys.executable, str(Path(__file__).resolve()),
                         *args], env, None, what).decode().splitlines()
-    if lines:
-        print("\n".join(lines), flush=True)
+    print("".join(line + "\n" for line in lines), end="", flush=True)
     return json.loads(last)
 
 
@@ -223,10 +211,9 @@ def compare_files(leg, parent, change, tol=None):
 
 
 def setup(checkout, out, *save_inputs):
-    """Runs in the subprocess: writes the set-up bundle of every workload
-    and seed to the directory ``out`` and, given ``save_inputs``, the
-    input tensor and window length next to it as npz; prints the run names
-    as JSON."""
+    """Runs in the subprocess: writes every workload's and seed's set-up
+    bundle to ``out`` and, given ``save_inputs``, its input tensor and
+    window length as npz; prints the run names as JSON."""
     import driftwatch
     import pipeline
     import workloads
@@ -281,10 +268,8 @@ def outcome(pkg, model, x_c):
 
 
 def final_check(pkg, model):
-    """``pipeline.final_model_check`` through ``pkg``, which this process
-    cannot import as ``driftwatch``: (KKT holds and the training decision
-    values are within A3_TOL of a batch retrain, their largest
-    difference)."""
+    """``pipeline.final_model_check`` through ``pkg``: (KKT holds and the
+    decision values are within A3_TOL of a batch retrain, their distance)."""
     try:
         pkg.ocsvm.kkt_partition(model)
     except pkg.errors.KktViolationError:
@@ -295,31 +280,18 @@ def final_check(pkg, model):
     return diff <= A3_TOL, diff
 
 
-def model_diff(old, new):
-    """Largest |delta alpha| or |delta rho| of two models; inf when their
-    training sizes differ."""
-    if old.n != new.n:
-        return math.inf
-    return max(abs(old.rho - new.rho),
-               float(np.max(np.abs(old.alpha - new.alpha))))
-
-
-def case_counts(migrations):
-    """A migration sequence's length and its count per case id, as text."""
-    counts = Counter(case for case, _ in migrations)
-    return (f"{len(migrations)} ("
-            + ", ".join(f"case{c} {counts[c]}" for c in sorted(counts)) + ")")
-
-
-def ratio_text(times):
+def ratio_text(times, record, leg, name):
     """Median and quartiles of change/parent over rows of (parent, change)
-    times, as text."""
+    times, as text; they and the number of rows go to ``record[leg]``
+    under ``name``."""
     times = np.asarray(times, dtype=np.float64)
     q1, q2, q3 = np.percentile(times[:, 1] / times[:, 0], [25, 50, 75])
+    record.setdefault(leg, {})[name] = {"median": q2, "q1": q1, "q3": q3,
+                                        "pairs": len(times)}
     return f"median {q2:.3f} (quartiles {q1:.3f} / {q3:.3f})"
 
 
-def fit_window(pkgs, window, fit, name):
+def fit_window(pkgs, window, fit, name, record):
     """Fits ``window`` through both packages as ``pipeline.setup`` does,
     with its ``fit`` settings, ``FIT_ROUNDS`` times; prints the run's fit
     line and returns whether the fits differ."""
@@ -340,11 +312,11 @@ def fit_window(pkgs, window, fit, name):
     mid = np.median(times, axis=0) / 1e6
     print(f"{name:22s} fit {'match' if fits[0] == fits[1] else 'MISMATCH'}; "
           f"CPU ms parent {mid[0]:.0f}, change {mid[1]:.0f}; "
-          f"ratio change/parent {ratio_text(times)}")
+          f"ratio change/parent {ratio_text(times, record, 'fit', name)}")
     return fits[0] != fits[1]
 
 
-def step_run(pkgs, work, name):
+def step_run(pkgs, work, name, record):
     """Steps both packages' pipelines through run ``name`` ``ROUNDS``
     times, each side from the bundle its own checkout wrote; prints the
     run's line and returns whether it matches and the parent's
@@ -393,13 +365,16 @@ def step_run(pkgs, work, name):
                     for s in states]
             fallbacks = [s.retrain_fallbacks for s in states]
             checks = [final_check(p, s.model) for p, s in zip(pkgs, states)]
-            dm = model_diff(states[0].model, states[1].model)
+            m0, m1 = (s.model for s in states)  # |dmodel|: alpha and rho
+            dm = math.inf if m0.n != m1.n else max(abs(m0.rho - m1.rho), float(
+                np.max(np.abs(m0.alpha - m1.alpha))))
             counts["migrations"] += logs[0] != logs[1]
             counts["retrain_fallbacks"] += fallbacks[0] != fallbacks[1]
             counts["final_model"] += not dm <= G_RAW_TOL
             counts["final_model_check"] += not (checks[0][0]
                                                 and checks[1][0])
-    counts["fit"] = bool(fit) and fit_window(pkgs, data[:, :, :w], fit, name)
+    counts["fit"] = bool(fit) and fit_window(pkgs, data[:, :, :w], fit, name,
+                                             record)
     bad = [key for key, n in counts.items() if n]
     mid = np.median(passes, axis=0) / 1e6
     print(f"{name:22s} {'MISMATCH ' + ','.join(bad) if bad else 'match':24s}"
@@ -408,14 +383,16 @@ def step_run(pkgs, work, name):
           f"{len(inserts)}  migrations {len(logs[1])}  fallbacks "
           f"{fallbacks[0]}/{fallbacks[1]}  A3 diff {checks[0][1]:.1e}/"
           f"{checks[1][1]:.1e}; pass ms parent {mid[0]:.1f}, change "
-          f"{mid[1]:.1f}; ratio change/parent {ratio_text(passes)}")
+          f"{mid[1]:.1f}; ratio change/parent "
+          f"{ratio_text(passes, record, 'events', name)}")
+    record["events"][name]["bit_identical"] = same
     if "migrations" in bad:
-        print(f"    migrations parent {case_counts(logs[0])}, "
-              f"change {case_counts(logs[1])}")
+        print("    migrations per case id, parent / change:", *(sorted(
+            Counter(case for case, _ in log).items()) for log in logs))
     return not bad, inserts
 
 
-def replay_inserts(pkgs, inserts):
+def replay_inserts(pkgs, inserts, record):
     """Replays and times every ``(run, k, model, x_c)`` insert through both
     packages; prints the inserts that differ and a summary, and returns
     their number."""
@@ -443,15 +420,16 @@ def replay_inserts(pkgs, inserts):
         mid = np.median(medians, axis=0)
         print(f"inserts {len(medians)}, identical {len(medians) - differ}, "
               f"differ {differ}; per-insert ms parent {mid[0]:.3f}, change "
-              f"{mid[1]:.3f}; ratio change/parent {ratio_text(medians)}")
+              f"{mid[1]:.3f}; ratio change/parent "
+              f"{ratio_text(medians, record, 'inserts', 'per_insert')}")
     return differ
 
 
 def replay(parent_dir, change_dir, work, *runs):
     """Runs in the subprocess: fits, steps and replays ``runs`` through
-    both checkouts; prints a line per fit and per run, the inserts' summary
-    and, last, the numbers of runs (fits included) and inserts that differ."""
-    bad, inserts = 0, []
+    both checkouts; prints their lines and, last, the numbers of runs (fits
+    included) and inserts that differ and the bench record's ratios."""
+    bad, inserts, record = 0, [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in zip(SIDES, (parent_dir, change_dir)):
             shutil.copytree(Path(checkout) / "src" / "driftwatch",
@@ -460,28 +438,43 @@ def replay(parent_dir, change_dir, work, *runs):
         # the package imports its errors, incremental and ocsvm modules
         pkgs = [importlib.import_module(f"dw_{side}") for side in SIDES]
         for name in runs:
-            ok, calls = step_run(pkgs, Path(work), name)
+            ok, calls = step_run(pkgs, Path(work), name, record)
             bad += not ok
             inserts += [(name, k, *call) for k, call in enumerate(calls)]
-        differ = replay_inserts(pkgs, inserts)
-    print(json.dumps([bad, differ]))
+        differ = replay_inserts(pkgs, inserts, record)
+    print(json.dumps([bad, differ, record]))
 
 
 def compare_replay(parent_dir, change_dir, work, runs):
     """Replays ``runs``, set up under ``work``, in the replay subprocess;
-    returns the numbers of runs and of inserts that differ."""
+    returns what ``replay`` prints last."""
     return run_child("the replay", child_env(None), "--replay",
                      str(parent_dir), str(change_dir), str(work), *runs)
+
+
+def commit(checkout):
+    """``git describe --always --dirty`` in ``checkout``, or None."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          cwd=checkout, capture_output=True, check=False)
+    return proc.stdout.decode().strip() if proc.returncode == 0 else None
+
+
+def append_record(path, record):
+    """Appends ``record`` to the JSON list in Path ``path``, or starts one."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(records + [record], indent=1, sort_keys=True)
+                    + "\n")
 
 
 def main(argv):
     if argv[:1] in (["--setup"], ["--replay"]):  # a subprocess of the tool
         (setup if argv[0] == "--setup" else replay)(*argv[1:])
         return 0
-    if len(argv) != 2:
+    bench = argv[2:3] == ["--bench"] and Path(argv[-1])
+    if len(argv) != (4 if bench else 2):
         print(__doc__, file=sys.stderr)
         return 2
-    parent_dir, change_dir = (Path(d).resolve() for d in argv)
+    parent_dir, change_dir = (Path(d).resolve() for d in argv[:2])
     for path in (d / sub for d in (parent_dir, change_dir)
                  for sub in ("streambench/workloads.py",
                              "src/driftwatch/incremental.py")):
@@ -493,16 +486,23 @@ def main(argv):
             cli = compare_files("cli", run_cli(parent_dir),
                                 run_cli(change_dir), G_RAW_TOL)
             bundles, names = compare_setup(parent_dir, change_dir, Path(tmp))
-            runs, inserts = compare_replay(parent_dir, change_dir, Path(tmp),
-                                           names)
+            *replayed, record = compare_replay(parent_dir, change_dir,
+                                               Path(tmp), names)
         except CheckoutError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if not cli + bundles + runs + inserts:
+    differ = record["differ"] = dict(zip(
+        ("CLI files", "bundles", "runs", "inserts"),
+        (cli, bundles, *replayed)))
+    if bench:
+        record["host"] = {"cpus": os.cpu_count(), "numpy": np.__version__,
+                          "python": sys.version.split()[0]}
+        record.update(zip(SIDES, map(commit, (parent_dir, change_dir))))
+        append_record(bench, record)
+    if not any(differ.values()):
         print("behaviour matches")
         return 0
-    print(f"differ: {cli} CLI files, {bundles} bundles, {runs} runs, "
-          f"{inserts} inserts")
+    print("differ: " + ", ".join(f"{n} {what}" for what, n in differ.items()))
     return 1
 
 
