@@ -85,8 +85,8 @@ class LocationSnapshot:
         return cls(knn_score(b_matrix, k))
 
 
-def _check_k(b, k):
-    j_n = b.shape[0]
+def check_k_neighbors(j_n, k):
+    """Raise ValidationError unless ``k`` < J = ``j_n`` and J >= 2."""
     if j_n < 2:
         raise TooFewLocationsError("need at least 2 location rows")
     if k >= j_n:
@@ -96,7 +96,7 @@ def _check_k(b, k):
 def knn_score(b, k: int) -> np.ndarray:
     """Mean Euclidean distance from each row to its k nearest other rows."""
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    _check_k(b, k)
+    check_k_neighbors(len(b), k)
     dist = sq_distances(b, b)
     np.sqrt(dist, out=dist)
     dist.reshape(-1)[::len(dist) + 1] = np.inf  # the diagonal, as a view
@@ -145,7 +145,7 @@ class PipelineState:
         if shape != j_n:
             raise ShapeMismatchError(
                 f"snapshot knn shape {shape} does not fit J = {j_n[0]}")
-        _check_k(self.decomp.factors.b, self.config.k_neighbors)
+        check_k_neighbors(len(self.decomp.factors.b), self.config.k_neighbors)
 
     @classmethod
     def start(cls, decomp, model, config):
@@ -190,31 +190,28 @@ def process_event(state: PipelineState, slice_ij):
     return state, Verdict(t_idx, g_raw, p_env, g_adv, action)
 
 
-def calibrate_gamma_change(decomp: StreamDecomposition,
+def calibrate_gamma_change(decomp: StreamDecomposition, window_slices,
                            k_neighbors: int) -> float:
     """Auto-calibrate the acceptable knn-score change.
 
-    Replays the last ``CALIBRATION_REPLAY`` window slices through online
-    updates on a throwaway copy and takes ``CALIBRATION_MULTIPLIER`` times
-    the median absolute per-event knn-score change. Replayed slices are
-    already absorbed by the factors, so that jitter underestimates what a
-    single outlying slice induces across all locations (its kick also rides
-    the momentum into the following events); the threshold is therefore
-    floored at ``CALIBRATION_SCORE_FLOOR`` times the median knn score, a
-    fixed fraction of the inter-location distance scale.
+    Replays the last ``CALIBRATION_REPLAY`` of the ``window_slices`` that
+    ``decomp`` was fitted to through online updates on a throwaway copy and
+    takes ``CALIBRATION_MULTIPLIER`` times the median absolute per-event
+    knn-score change. Replayed slices are already absorbed by the factors,
+    so that jitter underestimates what a single outlying slice induces
+    across all locations (its kick also rides the momentum into the
+    following events); the threshold is therefore floored at
+    ``CALIBRATION_SCORE_FLOOR`` times the median knn score, a fixed
+    fraction of the inter-location distance scale.
     """
-    replay = min(CALIBRATION_REPLAY, len(decomp.slices))
     # the factors are immutable; only the optimizer state is stepped in place
     probe = StreamDecomposition(decomp.factors, copy.deepcopy(decomp.state),
                                 decomp.kind, [])
-    changes = []
-    base = knn_score(probe.factors.b, k_neighbors)
-    prev = base
-    for slice_ij in decomp.slices[-replay:]:
+    scores = [knn_score(probe.factors.b, k_neighbors)]
+    for slice_ij in window_slices[-CALIBRATION_REPLAY:]:
         update_online(probe, slice_ij)
-        cur = knn_score(probe.factors.b, k_neighbors)
-        changes.append(np.abs(cur - prev))
-        prev = cur
-    med = float(np.median(np.concatenate(changes))) if changes else 0.0
-    floor = CALIBRATION_SCORE_FLOOR * float(np.median(base))
+        scores.append(knn_score(probe.factors.b, k_neighbors))
+    changes = np.abs(np.diff(scores, axis=0))
+    med = float(np.median(changes)) if changes.size else 0.0
+    floor = CALIBRATION_SCORE_FLOOR * float(np.median(scores[0]))
     return max(CALIBRATION_MULTIPLIER * med, floor, 1e-9)

@@ -152,6 +152,7 @@ def cmd_train(args):
         update_policy=UpdatePolicy(args.policy),
         threshold=args.threshold,
     )
+    advisor.check_k_neighbors(tensor.dims[1], config.k_neighbors)
     # the median heuristic (--sigma <= 0) needs the fitted temporal rows
     kernel = None if args.sigma <= 0 else KernelSpec(args.kernel, args.sigma)
     decomp = decompose_stream_init(window, args.rank,
@@ -162,7 +163,7 @@ def cmd_train(args):
     model = train_batch(c_rows, args.nu, kernel)
     if auto_gamma:
         config = replace(config, gamma_change=advisor.calibrate_gamma_change(
-            decomp, args.k_neighbors))
+            decomp, window.data.transpose(2, 0, 1), args.k_neighbors))
     state = PipelineState.start(decomp, model, config)
     meta = {"tensor": args.tensor,
             "train_rmse": repr(window_rmse(window, decomp.factors))}

@@ -116,12 +116,19 @@ def init_factors(dims, rank, seed) -> KruskalFactors:
 SQUARES_BOUND = OVERFLOW_LIMIT**2 * (1.0 - 1e-6)
 
 
+def _first_beyond(stack):
+    """The first ``stack[i]`` with an entry beyond OVERFLOW_LIMIT, NaN or inf,
+    else ``len(stack)``; the exact test runs only on a sum of squares not <=
+    SQUARES_BOUND. ``vdot``, unlike ``dot``, does not warn on inf."""
+    if np.vdot(stack, stack) <= SQUARES_BOUND:
+        return len(stack)
+    within = (np.abs(stack) <= OVERFLOW_LIMIT).reshape(len(stack), -1).all(1)
+    return len(stack) if within.all() else int(within.argmin())
+
+
 def _check_finite(m):
-    """Raise DivergedError unless every entry of ``m`` is within
-    OVERFLOW_LIMIT; only a sum of squares above SQUARES_BOUND, NaN or inf
-    runs the exact test. ``vdot``, unlike ``dot``, does not warn on inf."""
-    if not (np.vdot(m, m) <= SQUARES_BOUND
-            or np.abs(m).max() <= OVERFLOW_LIMIT):
+    """Raise DivergedError if ``m`` has an entry beyond OVERFLOW_LIMIT."""
+    if _first_beyond(m) < len(m):
         raise DivergedError("factor entries exceeded the overflow limit")
 
 
@@ -174,8 +181,8 @@ def _apply_step(w, vel, slice_ij, c_row, eta, noise, gamma, beta, out):
     ``out`` is a ``_step_out`` of caller-owned buffers, apart from ``w``
     and ``vel``: the new block, the new velocity (the direction is built in
     it), the probe (written only when gamma*eta != 0), the residual
-    X - (A*c) B^T at the probe, and two blocks of scratch. A new block
-    beyond the overflow limit raises DivergedError.
+    X - (A*c) B^T at the probe, and two blocks of scratch. The caller tests
+    the new block against the overflow limit (``_first_beyond``).
     """
     w_new, g, g_a, g_b, probe, resid, resid_t, abc, abc_a, abc_b, tmp = out
     # Look ahead by the upcoming displacement eta*gamma*vel. The velocity
@@ -201,7 +208,6 @@ def _apply_step(w, vel, slice_ij, c_row, eta, noise, gamma, beta, out):
         w_new += noise
     if beta:
         w_new -= np.multiply(np.sign(w, out=tmp), beta, out=tmp)
-    _check_finite(w_new)
 
 
 def _c_row_steps(resids, probes, buf, c_rows, vel_rows, etas, noise, gamma,
@@ -209,9 +215,9 @@ def _c_row_steps(resids, probes, buf, c_rows, vel_rows, etas, noise, gamma,
     """The C-row half of n window-fit steps: new rows and velocities from
     the steps' residuals and look-ahead [A; B] blocks (stacks of n), each
     row's value ``c_rows`` and velocity ``vel_rows`` from before the steps,
-    and ``noise``, (rows, where) or None; also n, or the first step whose
-    row leaves the overflow limit. ``buf`` is a flat buffer of at least
-    n*I*R entries for the terms of the directions diag(A^T R B).
+    and ``noise``, (rows, where) or None; also ``_first_beyond`` of the new
+    rows. ``buf`` is a flat buffer of at least n*I*R entries for the terms
+    of the directions diag(A^T R B).
 
     Each direction sums over i in the order of a step's axis-0 reduce of
     an (I, R) block: numpy sums more columns than one row by row, which it
@@ -234,10 +240,7 @@ def _c_row_steps(resids, probes, buf, c_rows, vel_rows, etas, noise, gamma,
         np.add(new, noise[0], out=new, where=noise[1][:, None])
     if beta:
         new -= np.sign(c_rows) * beta
-    if np.vdot(new, new) <= SQUARES_BOUND:  # as in _check_finite
-        return new, g, len(new)
-    within = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
-    return new, g, len(new) if within.all() else int(within.argmin())
+    return new, g, _first_beyond(new)
 
 
 @dataclass
@@ -268,12 +271,12 @@ class StreamOptions:
 
 @dataclass
 class StreamDecomposition:
-    """Single-writer holder for the factors, optimizer state and data window."""
+    """Single-writer holder for the factors and optimizer state."""
 
     factors: KruskalFactors
     state: NesgdState
     kind: OptimizerKind
-    slices: list  # training window, one (I, J) array per time step
+    slices: list  # what load_bundle is given; the window fit keeps none
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -367,11 +370,11 @@ def _step_slices(window, a, b, c, state, kind, ks, bufs=None):
     as it was before the chunk. So each step is the online step,
     ``_apply_step`` on [A; B] with the row held at its look-ahead point
     c[k] + gamma*eta*vel_c[k], and the C rows' half of the steps is taken
-    in one batch (``_c_row_steps``) per sub-chunk. A step with a block or
-    row beyond the overflow limit raises ``DivergedError`` and leaves
-    ``c``, the velocities, the step counter and the generator as the steps
-    before it left them: the generator is set back to the chunk's start
-    and those steps' noise is drawn again."""
+    in one batch (``_c_row_steps``) per sub-chunk, which is tested once. Its
+    first step with a block or row beyond the overflow limit raises
+    ``DivergedError``, leaving ``c``, the velocities, the step counter and
+    the generator as the steps before it left them (the generator is set
+    back to the chunk's start and their noise drawn again)."""
     i_n, j_n = window[0].shape
     ks, vel_c = np.asarray(ks, dtype=np.intp), state.vel_c
     shape = (i_n + j_n + 1, a.shape[1])  # the noise of [A; B] and a C row
@@ -391,24 +394,22 @@ def _step_slices(window, a, b, c, state, kind, ks, bufs=None):
     steps = list(zip(ks.tolist(), etas.tolist(), noise))
     for s0 in range(0, len(ks), len(slots)):
         n = min(len(slots), len(ks) - s0)
-        c_tiled[:n] = c_probe[s0:s0 + n, None]
-        try:
-            for done, ((w, vel, c_row, out), (k, eta, nz)) in enumerate(
-                    zip(slots, steps[s0:s0 + n])):
+        part = slice(s0, s0 + n)
+        c_tiled[:n] = c_probe[part, None]
+        # steps after a failing one may compute on inf and are discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (w, vel, c_row, out), (k, eta, nz) in zip(slots, steps[part]):
                 _apply_step(w, vel, window[k], c_row, eta, nz, gamma, beta,
                             out)
-            done = n
-        except DivergedError:
-            pass
-        part = slice(s0, s0 + done)
-        if gamma and not looks[part].all():  # these looked ahead from w
-            np.copyto(probes[:done], ws[:done],
-                      where=looks[part, None, None] == 0)
-        rows, vels, done = _c_row_steps(
-            resids[:done], probes[:done], c_buf, c[ks[part]],
-            vel_c[ks[part]] if gamma else None, etas[part],
-            (c_noise[part], sigma * etas[part] != 0) if sigma else None,
-            gamma, beta)
+            if gamma and not looks[part].all():  # these looked ahead from w
+                np.copyto(probes[:n], ws[:n],
+                          where=looks[part, None, None] == 0)
+            rows, vels, done = _c_row_steps(
+                resids[:n], probes[:n], c_buf, c[ks[part]],
+                vel_c[ks[part]] if gamma else None, etas[part],
+                (c_noise[part], sigma * etas[part] != 0) if sigma else None,
+                gamma, beta)
+        done = min(done, _first_beyond(ws[1:n + 1]))
         c[ks[s0:s0 + done]], vel_c[ks[s0:s0 + done]] = \
             rows[:done], vels[:done]
         if done < n:
@@ -430,7 +431,7 @@ def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
 
     Each step is taken on a view of one contiguous (K, I, J) copy of the
     window. The fit stops after an epoch that moved the RMSE by less than
-    ``opts.tol``. The retained ``slices`` are read-only views of that copy.
+    ``opts.tol``. It keeps no ``slices``, so the copy is freed on return.
     """
     opts = opts or StreamOptions()
     window, x_sq, a, b, c, state, prev_rmse = _fit_start(t0, rank, opts)
@@ -443,8 +444,7 @@ def decompose_stream_init(t0: DenseTensor3, rank: int, kind: OptimizerKind,
         if abs(prev_rmse - cur) < opts.tol:
             break
         prev_rmse = cur
-    return StreamDecomposition(KruskalFactors(a, b, c), state, kind,
-                               list(window))
+    return StreamDecomposition(KruskalFactors(a, b, c), state, kind, [])
 
 
 def run_benchmark(tensor: DenseTensor3, rank, kinds, opts: StreamOptions,
@@ -483,11 +483,11 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     the current (B(*)A) design, solved from its R x R normal equations
     ((A^T A)*(B^T B) + ridge I) c = diag(A^T X B) without forming the
     design; A and B then take one stochastic step from the new slice. The
-    row is returned, not stored: ``factors.c``, ``state.vel_c`` and
-    ``slices`` keep the size the training window gave them. A slice of the
-    wrong shape or with non-finite entries is rejected before any state
-    changes. A step that diverges raises ``DivergedError`` and leaves the
-    state as it was, the noise generator included.
+    row is returned, not stored: ``factors.c`` and ``state.vel_c`` keep
+    the size the training window gave them. A slice of the wrong shape or
+    with non-finite entries is rejected before any state changes. A step
+    that diverges raises ``DivergedError`` and leaves the state as it was,
+    the noise generator included.
     """
     slice_ij = np.asarray(slice_ij, dtype=np.float64)
     f = d.factors
@@ -511,14 +511,13 @@ def update_online(d: StreamDecomposition, slice_ij: np.ndarray):
     noise = state.rng.normal(0.0, sigma * eta, w.shape) if sigma * eta \
         else None
     w_new, vel, probe, abc, tmp = np.empty((5, *w.shape))
-    try:
-        _apply_step(w, np.concatenate((state.vel_a, state.vel_b)), slice_ij,
-                    c_new, eta, noise, gamma, beta,
-                    _step_out(i_n, w_new, vel, probe,
-                              np.empty_like(slice_ij), abc, tmp))
-    except DivergedError:
+    _apply_step(w, np.concatenate((state.vel_a, state.vel_b)), slice_ij,
+                c_new, eta, noise, gamma, beta,
+                _step_out(i_n, w_new, vel, probe, np.empty_like(slice_ij),
+                          abc, tmp))
+    if _first_beyond(w_new) < len(w_new):
         state.rng.bit_generator.state = rng_state
-        raise
+        raise DivergedError("factor entries exceeded the overflow limit")
     state.vel_a, state.vel_b = vel[:i_n], vel[i_n:]
     state.step += 1
     d.factors = KruskalFactors.from_checked(w_new[:i_n], w_new[i_n:], f.c)

@@ -57,9 +57,10 @@ class ImmobileError(NumericalError):
 
 
 def check_int(value, what, low):
-    """Raise ValidationError unless ``value`` is an int >= ``low``. A bool,
+    """``value`` if it is an int >= ``low``, else a ValidationError. A bool,
     which Python counts as an int (JSON's true reads as 1), is not one."""
     if isinstance(value, bool) or not (isinstance(value, int)
                                        and value >= low):
         raise ValidationError(f"{what} must be an int >= {low}, not "
                               f"{value!r}")
+    return value

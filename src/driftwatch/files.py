@@ -110,7 +110,7 @@ def load_tensor_csv(path: str) -> DenseTensor3:
     """
     dims = read_json(sibling(path, ".dims.json"), "tensor dims")
     with parsing(f"tensor file {path}"):
-        i_n, j_n, k_n = int(dims["I"]), int(dims["J"]), int(dims["K"])
+        i_n, j_n, k_n = (check_int(dims[n], f"dims {n}", 1) for n in "IJK")
         arr = np.full((i_n, j_n, k_n), np.nan)
         seen = np.zeros((i_n, j_n, k_n), dtype=bool)
         with reading(path, "tensor") as fh:
@@ -258,8 +258,8 @@ def load_bundle(path, window_slices):
     """(window, decomp, model, snapshot, config) from a bundle file.
 
     An unreadable file is an IoError; anything that is not a well-formed
-    bundle (a window must be an int >= 1, every number finite, the model
-    KKT) is a ValidationError. Keys it does not read, as older bundles'
+    bundle (the window must be C's int row count, every number finite, the
+    model KKT) is a ValidationError. Keys it does not read, as older bundles'
     ``rank`` and ``snapshot.b``, are ignored.
     """
     payload = read_json(path, "bundle")
@@ -292,8 +292,10 @@ def load_bundle(path, window_slices):
             update_policy=UpdatePolicy(cp["update_policy"]),
             threshold=from_hex(cp["threshold"]),
         )
-        window = payload["window"]
-    check_int(window, f"bundle {path}: window", 1)
+        window = check_int(payload["window"], f"bundle {path}: window", 1)
+    if window != len(f.c):  # the window fit gives C one row per slice
+        raise ValidationError(f"bundle {path}: window {window} is not the "
+                              f"{len(f.c)} rows of C")
     # the types' own checks reject NaN and inf in the scalars they bound
     finite = {"factors": (f.a, f.b, f.c),
               "state": (state.vel_a, state.vel_b, state.vel_c),

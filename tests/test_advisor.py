@@ -258,6 +258,11 @@ def small_pipeline(policy, seed=0, gamma=1e-3):
     return PipelineState.start(d, m, cfg), f_true
 
 
+def window_slices(f_true):
+    """The (K, I, J) window that ``small_pipeline`` fitted, as views."""
+    return kruskal_reconstruct(f_true).data.transpose(2, 0, 1)
+
+
 def advised_decision(g_raw, p_env, cfg):
     if g_raw < 0.0 and p_env >= cfg.confidence:
         return abs(g_raw)
@@ -511,20 +516,20 @@ class TestProcessEvent:
 
 class TestCalibration:
     def test_returns_positive_threshold(self):
-        state, _ = small_pipeline(UpdatePolicy.NONE)
-        g = calibrate_gamma_change(state.decomp, 2)
+        state, f_true = small_pipeline(UpdatePolicy.NONE)
+        g = calibrate_gamma_change(state.decomp, window_slices(f_true), 2)
         assert g > 0.0
 
     def test_does_not_mutate_decomposition(self):
-        state, _ = small_pipeline(UpdatePolicy.NONE)
+        state, f_true = small_pipeline(UpdatePolicy.NONE)
         before = copy.deepcopy(state.decomp.factors.b)
-        calibrate_gamma_change(state.decomp, 2)
+        calibrate_gamma_change(state.decomp, window_slices(f_true), 2)
         np.testing.assert_array_equal(state.decomp.factors.b, before)
 
     def test_leaves_optimizer_state_untouched(self):
-        state, _ = small_pipeline(UpdatePolicy.NONE)
+        state, f_true = small_pipeline(UpdatePolicy.NONE)
         before = copy.deepcopy(state.decomp.state)
-        calibrate_gamma_change(state.decomp, 2)
+        calibrate_gamma_change(state.decomp, window_slices(f_true), 2)
         after = state.decomp.state
         assert after.step == before.step
         assert after.rng.bit_generator.state == before.rng.bit_generator.state
@@ -532,17 +537,18 @@ class TestCalibration:
             assert np.array_equal(getattr(after, name), getattr(before, name))
 
     def test_matches_replay_on_a_full_copy(self):
-        # oracle: the last 50 window slices replayed on a deep copy of the
-        # whole decomposition, slices included
-        state, _ = small_pipeline(UpdatePolicy.NONE)
+        # oracle: the last 50 window slices, contiguous copies, replayed on
+        # a deep copy of the whole decomposition
+        state, f_true = small_pipeline(UpdatePolicy.NONE)
         probe = copy.deepcopy(state.decomp)
         base = prev = knn_score(probe.factors.b, 2)
         changes = []
-        for slice_ij in probe.slices[-50:]:
+        for slice_ij in np.array(window_slices(f_true)[-50:]):
             update_online(probe, slice_ij)
             cur = knn_score(probe.factors.b, 2)
             changes.append(np.abs(cur - prev))
             prev = cur
         want = max(3.0 * float(np.median(np.concatenate(changes))),
                    0.05 * float(np.median(base)), 1e-9)
-        assert calibrate_gamma_change(state.decomp, 2) == want
+        assert calibrate_gamma_change(state.decomp, window_slices(f_true),
+                                      2) == want

@@ -154,9 +154,10 @@ class TestTrainAndBundle:
         del args[at:at + 2]  # the default, 0: calibrated after the fit
         assert run_cli(*args) == 0
         tensor = load_tensor_csv(str(tensor_path))
-        _, decomp, _, _, config = load_bundle(
-            str(bundle_path), [tensor.slice_at(k) for k in range(30)])
-        assert config.gamma_change == calibrate_gamma_change(decomp, 2)
+        slices = [tensor.slice_at(k) for k in range(30)]
+        _, decomp, _, _, config = load_bundle(str(bundle_path), slices)
+        assert config.gamma_change == calibrate_gamma_change(decomp, slices,
+                                                             2)
 
     def test_window_larger_than_k_fails(self, tmp_path):
         tensor_path = tmp_path / "t.csv"
@@ -401,6 +402,7 @@ BAD_TRAIN_FLAGS = {
     "inf_train_sigma": ("--sigma", "inf"),
     "above_one_train_confidence": ("--confidence", "1.5"),
     "zero_train_k_neighbors": ("--k-neighbors", "0"),
+    "j_train_k_neighbors": ("--k-neighbors", "5"),
     "negative_train_lr_a": ("--lr-a", "-1"),
     "inf_train_lr_a": ("--lr-a", "inf"),
     "above_one_train_nu": ("--nu", "1.5"),
@@ -459,6 +461,8 @@ BAD_BUNDLE_FIELDS = {
     "float_bundle_k_neighbors": lambda p: p["config"].update(
         k_neighbors=2.5),
     "float_bundle_window": lambda p: p.update(window=2.5),
+    # C has a row per training slice: slices 10-29 would stream as events
+    "short_bundle_window": lambda p: p.update(window=10),
     "string_bundle_window": lambda p: p.update(window="30"),
     # JSON's true is a bool, which Python counts as the int 1
     "bool_bundle_window": lambda p: p.update(window=True),
@@ -481,13 +485,22 @@ BAD_BUNDLE_FIELDS = {
 }
 
 
+# .dims.json values of I, by test case (I = 6)
+BAD_DIMS = {
+    "non_numeric_dims": '"six"',
+    "float_dims": "6.9",
+    "string_dims": '"6"',
+    "bool_dims": "true",
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         "missing_bundle", "truncated_bundle", "missing_bundle_key",
         "unknown_update_policy", "missing_eval_verdicts",
         "unwritable_stream_verdicts", "far_window_zero", "short_labels",
         "negative_label_k", "duplicate_label_k", "missing_label_k",
-        "non_numeric_tensor_value", "non_numeric_dims",
+        "non_numeric_tensor_value", *BAD_DIMS,
         "negative_train_window", "negative_bundle_window",
         "negative_verdict_t", "eval_far_window_zero",
         "non_numeric_anomaly_steps", "non_numeric_drift_locations",
@@ -536,9 +549,9 @@ class TestMalformedInput:
         elif case == "non_numeric_tensor_value":
             text = tensor_path.read_text()
             tensor_path.write_text(text.replace("\n0,0,0,", "\n0,0,0,x", 1))
-        elif case == "non_numeric_dims":
+        elif case in BAD_DIMS:
             (tmp_path / "t.dims.json").write_text(
-                '{"I": "six", "J": 5, "K": 60}\n')
+                f'{{"I": {BAD_DIMS[case]}, "J": 5, "K": 60}}\n')
         elif case == "negative_bundle_window":
             payload["window"] = -5
             bundle.write_text(json.dumps(payload))

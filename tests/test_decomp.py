@@ -38,6 +38,7 @@ from driftwatch.decomp import (
     SUBCHUNK_BYTES,
     _apply_step,
     _check_finite,
+    _first_beyond,
     _step_out,
     _step_slices,
     _window_rmse,
@@ -458,6 +459,23 @@ class TestCheckFinite:
         with pytest.raises(DivergedError):
             _check_finite(m)
 
+    def test_stack_at_the_limit_has_no_block_beyond_it(self):
+        stack = np.full((4, 5, 2), OVERFLOW_LIMIT)
+        stack[:, ::2] *= -1.0
+        assert np.vdot(stack, stack) > SQUARES_BOUND
+        assert _first_beyond(stack) == 4
+        assert _first_beyond(np.ones((3, 2))) == 3
+
+    @pytest.mark.parametrize("bad", [
+        np.nextafter(OVERFLOW_LIMIT, np.inf), -np.inf, np.nan])
+    @pytest.mark.parametrize("first", [0, 2, 4])
+    def test_stack_gives_its_first_block_beyond_the_limit(self, bad, first):
+        stack = np.full((5, 3, 2), OVERFLOW_LIMIT)
+        stack[first:, 1, 0] = bad
+        stack[first + 1:, 2, 1] = np.inf  # later blocks fail too
+        assert _first_beyond(stack) == first
+        assert _first_beyond(stack[:first]) == first
+
 
 class TestDivergedStep:
     """A step that overflows raises and leaves every piece of state as it
@@ -558,6 +576,47 @@ class TestDivergedStep:
             before.rng.bit_generator.state
         assert state.step == before.step == fail
 
+    @pytest.mark.parametrize("friction", [0.0, 0.9])
+    def test_window_fit_block_back_within_the_limit_still_fails(
+            self, friction, monkeypatch):
+        # step 2's block leaves the limit and step 3 starts from it brought
+        # back, so the sub-chunk's last block is within the limit, which a
+        # test of that block alone would pass; the chunk fails at step 2
+        k_n, ks, bump = 5, [3, 0, 4, 1, 2], 2 * OVERFLOW_LIMIT
+        rng = np.random.default_rng(15)
+        window = rng.uniform(size=(k_n, self.I_N, self.J_N))
+        c = rng.uniform(size=(k_n, self.RANK))
+        state = NesgdState.zeros((self.I_N, self.J_N, k_n), self.RANK,
+                                 friction=friction, lr=LrSchedule(0.1, 0.0),
+                                 perturb_sigma=1e-3, rng_seed=3)
+        before, c_before = copy.deepcopy(state), c.copy()
+        _step_slices(window, self.a, self.b, c_before, before,
+                     OptimizerKind.NESGD, ks[:2])
+        real, blocks = decomp._apply_step, []
+
+        def step(w, *args):
+            if len(blocks) == 3:
+                w = w.copy()
+                w[0, 0] -= bump
+            real(w, *args)
+            w_new = args[-1][0]
+            if len(blocks) == 2:
+                w_new[0, 0] += bump
+            blocks.append(w_new.copy())
+
+        monkeypatch.setattr(decomp, "_apply_step", step)
+        with pytest.raises(DivergedError):
+            _step_slices(window, self.a, self.b, c, state,
+                         OptimizerKind.NESGD, ks)
+        assert [_first_beyond(m[None]) for m in blocks] == [1, 1, 0, 1, 1]
+        for got, want in ((c, c_before), (state.vel_c, before.vel_c),
+                          (state.vel_a, before.vel_a),
+                          (state.vel_b, before.vel_b)):
+            assert np.array_equal(got, want)
+        assert state.rng.bit_generator.state == \
+            before.rng.bit_generator.state
+        assert state.step == before.step == 2
+
     def test_online_step_overflowing_only_in_c_new(self):
         # the slice is fitted exactly, so A and B barely move while the new
         # temporal row itself is about 1e13
@@ -625,7 +684,7 @@ class TestStream:
             d, _ = update_online(d, slice_ij)
         assert d.factors.c.shape == (t.dims[2], 2)
         assert d.state.vel_c.shape == (t.dims[2], 2)
-        assert len(d.slices) == t.dims[2]
+        assert d.slices == []
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     @pytest.mark.parametrize("shape", [(7, 3), (3, 9)])
@@ -814,16 +873,18 @@ class TestWindowFit:
             # the tolerance, not the epoch budget, ended the fit
             assert state.step < epochs * t.dims[2]
 
-    def test_slices_are_views_of_one_copy(self):
-        t = DenseTensor3(RNG.uniform(size=(4, 6, 9)))
-        d = decompose_stream_init(t, 2, OptimizerKind.NESGD,
-                                  StreamOptions(epochs=2, seed=0))
-        assert len(d.slices) == t.dims[2]
-        for k, s in enumerate(d.slices):
-            assert np.array_equal(s, t.slice_at(k))
-        base = d.slices[0].base
-        assert base is not None
-        assert all(s.base is base for s in d.slices)
+    def test_fit_keeps_no_window(self):
+        # the fit's (K, I, J) copy of the window is freed when it returns
+        t = DenseTensor3(RNG.uniform(size=(40, 30, 50)))
+        tracemalloc.start()
+        try:
+            d = decompose_stream_init(t, 2, OptimizerKind.NESGD,
+                                      StreamOptions(epochs=2, seed=0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert d.slices == []
+        assert held < t.data.nbytes / 4
 
 
 class TestWindowRmse:
